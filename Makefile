@@ -35,10 +35,9 @@ race:
 race-hot:
 	$(GO) test -race ./internal/obsv ./internal/platform ./internal/shard
 
-# Backend conformance suite: every store.Backend implementation (the CRC
-# log and the segmented indexed store) must pass the same contract tests —
-# append/replay parity, torn-tail crash recovery, snapshot round-trips,
-# indexed-lookup equivalence. Run this when adding or changing a backend.
+# Backend conformance suite: the store.Backend contract tests against the
+# CRC-framed event log — append/recover parity, torn-tail crash recovery,
+# snapshot round-trips, LastSeq and health. Run this when changing the store.
 store-conformance:
 	$(GO) test -run 'TestConformance' -count=1 ./internal/store
 

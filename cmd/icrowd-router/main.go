@@ -12,9 +12,9 @@
 //
 // Usage:
 //
-//	icrowd-server -addr :9001 -log shard0.log &
-//	icrowd-server -addr :9002 -log shard1.log &
-//	icrowd-server -addr :9003 -log shard2.log &
+//	icrowd-server -addr :9001 -data-dir shard0 &
+//	icrowd-server -addr :9002 -data-dir shard1 &
+//	icrowd-server -addr :9003 -data-dir shard2 &
 //	icrowd-router -addr :8080 \
 //	    -shards http://localhost:9001,http://localhost:9002,http://localhost:9003
 //

@@ -55,13 +55,11 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		measure     = flag.String("measure", "Jaccard", "similarity measure")
 		threshold   = flag.Float64("threshold", 0.25, "similarity threshold")
-		logPath     = flag.String("log", "", "event-log file; replayed on startup for crash recovery (single-project mode)")
-		dataDir     = flag.String("data-dir", "", "multi-project data directory: each project's events live under <dir>/<id>/, every project found is resumed on startup (mutually exclusive with -log)")
-		backendKind = flag.String("backend", "log", "durable store backend: log (single CRC-framed file) or indexed (segmented files + in-memory task/worker index; requires -data-dir)")
+		dataDir     = flag.String("data-dir", "", "data directory: each project's event log lives at <dir>/<id>/events.log (the default project under <dir>/default/) and every project found is replayed on startup for crash recovery")
 		basisPath   = flag.String("basis", "", "basis cache file: loaded if present, else computed and saved (skips the offline PPR phase on restart)")
 		lease       = flag.Duration("lease", 0, "assignment lease: reclaim tasks from workers silent this long (0 disables)")
 		fsync       = flag.String("fsync", "never", "event-log fsync policy: never, always, or an integer N (fsync every N appends)")
-		snapEvery   = flag.Int("snapshot-every", 0, "snapshot+compact the event log every N appends (0 disables; requires -log)")
+		snapEvery   = flag.Int("snapshot-every", 0, "snapshot+compact the event log every N appends (0 disables; requires -data-dir)")
 		conc        = flag.Int("concurrency", 0, "estimation/assignment fan-out (0 = GOMAXPROCS, 1 = sequential)")
 		maxInFlight = flag.Int("max-inflight", 0, "admission control: max concurrent write requests (0 disables)")
 		queueDepth  = flag.Int("queue-depth", 64, "admission control: requests allowed to wait for a slot before new arrivals are shed with 429")
@@ -164,50 +162,26 @@ func main() {
 		fail(err)
 	}
 
-	// Durable storage. -log keeps the single-file, single-project layout;
-	// -data-dir switches to the multi-project store (one subdirectory per
-	// project, -backend selecting the layout inside each).
-	kind, err := store.ParseBackendKind(*backendKind)
-	if err != nil {
-		fail(err)
-	}
-	if *logPath != "" && *dataDir != "" {
-		fail(fmt.Errorf("-log and -data-dir are mutually exclusive"))
-	}
-	if kind != store.BackendLog && *dataDir == "" {
-		fail(fmt.Errorf("-backend %s requires -data-dir (-log always uses the log backend)", kind))
-	}
-	if *snapEvery > 0 && *logPath == "" && *dataDir == "" {
-		fail(fmt.Errorf("-snapshot-every requires -log or -data-dir"))
-	}
-	storeOpts := []store.Option{store.WithBackendKind(kind), store.WithFsync(syncEvery)}
-	if *snapEvery > 0 {
-		storeOpts = append(storeOpts, store.WithSnapshotEvery(*snapEvery))
+	// Durable storage: one event log per project under -data-dir, the
+	// default project included. Without -data-dir the server keeps no log.
+	if *snapEvery > 0 && *dataDir == "" {
+		fail(fmt.Errorf("-snapshot-every requires -data-dir"))
 	}
 	var (
-		backend store.Backend
+		srvOpts []platform.ServerOption
 		recov   *store.RecoverInfo
 		pstore  *store.ProjectStore
 	)
-	switch {
-	case *logPath != "":
-		backend, recov, err = store.Open(*logPath, storeOpts...)
+	if *dataDir != "" {
+		pstore, err = store.OpenProjects(*dataDir, store.WithFsync(syncEvery), store.WithSnapshotEvery(*snapEvery))
 		if err != nil {
 			fail(err)
 		}
-	case *dataDir != "":
-		pstore, err = store.OpenProjects(*dataDir, storeOpts...)
+		backend, info, err := pstore.Project(store.DefaultProject)
 		if err != nil {
 			fail(err)
 		}
-		backend, recov, err = pstore.Project(store.DefaultProject)
-		if err != nil {
-			fail(err)
-		}
-	}
-
-	var srvOpts []platform.ServerOption
-	if backend != nil {
+		recov = info
 		srvOpts = append(srvOpts, platform.WithBackend(backend))
 	}
 	srv := platform.NewServer(st, ds, srvOpts...)
@@ -263,13 +237,13 @@ func main() {
 			slog.Float64("error_goal", *sloErrGoal),
 			slog.Float64("degrade_burn", *sloBurn))
 	}
-	if backend != nil {
+	if *dataDir != "" {
 		defer srv.Close()
-		if recov != nil && recov.Tail != nil {
+		if recov.Tail != nil {
 			logger.Warn("repaired damaged log tail",
 				slog.String("tail", recov.Tail.String()))
 		}
-		if recov != nil && len(recov.Events) > 0 {
+		if len(recov.Events) > 0 {
 			if err := store.Replay(recov.Events, st); err != nil {
 				fail(fmt.Errorf("recovering default project: %w", err))
 			}
@@ -278,8 +252,6 @@ func main() {
 				slog.Int("events", len(recov.Events)),
 				slog.Int("from_snapshot", recov.FromSnapshot))
 		}
-	}
-	if *dataDir != "" {
 		// Named projects: each gets a fresh strategy seeded from its id (so
 		// replay after a restart rebuilds the same state) and its own
 		// backend under -data-dir; everything already on disk resumes now.
@@ -292,7 +264,6 @@ func main() {
 		}
 		logger.Info("multi-project serving enabled",
 			slog.String("data_dir", *dataDir),
-			slog.String("backend", string(kind)),
 			slog.Int("projects_resumed", resumed))
 	}
 	if *lease > 0 {
@@ -364,7 +335,7 @@ func projectSeed(base int64, id string) int64 {
 	return base ^ int64(h.Sum64()&math.MaxInt64)
 }
 
-// parseFsync maps the -fsync flag to Options.SyncEvery: "never" -> 0,
+// parseFsync maps the -fsync flag to store.WithFsync: "never" -> 0,
 // "always" -> 1, "N" -> every N appends.
 func parseFsync(s string) (int, error) {
 	switch s {

@@ -93,10 +93,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "events.jsonl")
-	snapPath := logPath + ".snap"
-	l, _, err := store.OpenWithOptions(logPath, store.Options{
-		SyncEvery: 8, SnapshotPath: snapPath, SnapshotEvery: 40,
-	})
+	l, _, err := store.Open(logPath, store.WithFsync(8), store.WithSnapshotEvery(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +208,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// Invariant 2: no task collected more submissions than its quota, even
 	// under duplicated deliveries and lease churn.
-	info, err := store.Load(logPath, snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := reopenLog(t, logPath)
 	perTask := map[int]int{}
 	for _, ev := range info.Events {
 		if ev.Kind == store.EventSubmit {

@@ -18,26 +18,46 @@ import (
 	"icrowd/internal/task"
 )
 
-// flakyWriter fails writes while broken is set, for driving the event-log
-// readiness check both directions.
-type flakyWriter struct {
-	mu     sync.Mutex
-	broken bool
+// flakyBackend is an in-memory store.Backend whose appends fail while
+// broken is set, for driving the event-log readiness check both directions.
+type flakyBackend struct {
+	mu      sync.Mutex
+	broken  bool
+	seq     int64
+	lastErr error
 }
 
-func (w *flakyWriter) Write(b []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.broken {
-		return 0, errors.New("disk full")
+func (b *flakyBackend) Append(e store.Event) (store.Event, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.broken {
+		b.lastErr = errors.New("disk full")
+		return store.Event{}, b.lastErr
 	}
-	return len(b), nil
+	b.lastErr = nil
+	b.seq++
+	e.Seq = b.seq
+	return e, nil
 }
 
-func (w *flakyWriter) setBroken(b bool) {
-	w.mu.Lock()
-	w.broken = b
-	w.mu.Unlock()
+func (b *flakyBackend) LastSeq() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.seq
+}
+
+func (b *flakyBackend) Healthy() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.lastErr
+}
+
+func (b *flakyBackend) Close() error { return nil }
+
+func (b *flakyBackend) setBroken(v bool) {
+	b.mu.Lock()
+	b.broken = v
+	b.mu.Unlock()
 }
 
 func probe(t *testing.T, base, path string) (int, obsv.ProbeResponse) {
@@ -70,12 +90,12 @@ func TestHealthzAlwaysOK(t *testing.T) {
 }
 
 // TestReadyzFlipsOnUnwritableEventLog drives the event_log readiness check
-// end to end: break the log's writer, trigger an append through /v1/submit,
-// watch /v1/readyz flip to 503 naming event_log, then heal the writer and
-// watch readiness recover on the next successful append.
+// end to end: break the log, trigger an append through /v1/submit, watch
+// /v1/readyz flip to 503 naming event_log, then heal the log and watch
+// readiness recover on the next successful append.
 func TestReadyzFlipsOnUnwritableEventLog(t *testing.T) {
-	w := &flakyWriter{}
-	srv, _, reg := newMetricsServer(t, WithBackend(store.NewWriter(w)))
+	w := &flakyBackend{}
+	srv, _, reg := newMetricsServer(t, WithBackend(w))
 
 	if code, _ := probe(t, srv.URL, "/v1/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz before any fault = %d, want 200", code)
@@ -105,7 +125,7 @@ func TestReadyzFlipsOnUnwritableEventLog(t *testing.T) {
 		t.Errorf("icrowd_probe_unready_total = %d, want 1", got)
 	}
 
-	// Heal the writer; the next successful append clears the sticky error.
+	// Heal the log; the next successful append clears the sticky error.
 	w.setBroken(false)
 	if s, _, b := exchange(t, srv.URL, "POST", "/v1/submit", submit); s != http.StatusOK {
 		t.Fatalf("submit after heal: %d %s", s, b)

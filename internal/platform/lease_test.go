@@ -70,10 +70,7 @@ func TestLeaseSweepReclaimsAbandonedAssignment(t *testing.T) {
 	}
 
 	// The departure is durable: the log ends with an inactive event.
-	events, err := store.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := reopenLog(t, logPath).Events
 	last := events[len(events)-1]
 	if last.Kind != store.EventInactive || last.Worker != "ghost" {
 		t.Fatalf("last event = %+v", last)
@@ -103,10 +100,7 @@ func TestAssignRedeliveryIsIdempotent(t *testing.T) {
 	if !res2.Assigned || !res2.Redelivered || res2.TaskID != res1.TaskID {
 		t.Fatalf("redelivery = %+v (first %+v)", res2, res1)
 	}
-	events, err := store.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := reopenLog(t, logPath).Events
 	if len(events) != 1 {
 		t.Fatalf("redelivery must not append events, log has %d", len(events))
 	}
@@ -136,10 +130,7 @@ func TestSubmitDuplicateAcknowledged(t *testing.T) {
 		t.Fatalf("duplicate submit response = %+v", sr2)
 	}
 	// Nothing double-counted: one assign + one submit in the log.
-	events, err := store.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := reopenLog(t, logPath).Events
 	if len(events) != 2 || events[1].Kind != store.EventSubmit {
 		t.Fatalf("log = %+v", events)
 	}
@@ -180,10 +171,7 @@ func TestRestoreRebuildsDedupAndLeases(t *testing.T) {
 	_ = l.Close()
 
 	st2, _ := baseline.NewRandomMV(ds, 3, nil, 5)
-	info, err := store.Load(logPath, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := reopenLog(t, logPath)
 	if err := store.Replay(info.Events, st2); err != nil {
 		t.Fatal(err)
 	}

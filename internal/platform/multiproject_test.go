@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -177,7 +178,7 @@ func TestMultiProjectKillRestartResume(t *testing.T) {
 	}
 
 	// Restart against the same directory.
-	so2, ps2, resumed := bootMultiProject(t, dir)
+	so2, _, resumed := bootMultiProject(t, dir)
 	defer so2.Close()
 	if resumed != 2 {
 		t.Fatalf("restart resumed %d named projects, want 2", resumed)
@@ -222,14 +223,7 @@ func TestMultiProjectKillRestartResume(t *testing.T) {
 
 		// No lost or duplicated events: the durable history holds exactly the
 		// acknowledged submissions, and no task exceeds its quota.
-		b, _, err := ps2.Project(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, err := b.Replay()
-		if err != nil {
-			t.Fatal(err)
-		}
+		events := reopenLog(t, filepath.Join(dir, id, "events.log")).Events
 		perTask, total := map[int]int{}, 0
 		for _, ev := range events {
 			if ev.Kind == store.EventSubmit {

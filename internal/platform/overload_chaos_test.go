@@ -183,10 +183,7 @@ func TestChaosOverloadBurst(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := store.Load(logPath, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := reopenLog(t, logPath)
 	perTask := map[int]int{}
 	for _, ev := range info.Events {
 		if ev.Kind == store.EventSubmit {

@@ -16,6 +16,23 @@ import (
 	"icrowd/internal/task"
 )
 
+// reopenLog opens the event log at path, closes it again, and returns what
+// was recovered, failing on any damaged tail.
+func reopenLog(t *testing.T, path string) *store.RecoverInfo {
+	t.Helper()
+	b, info, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info.Tail != nil {
+		t.Fatalf("event log %s has a damaged tail: %v", path, info.Tail)
+	}
+	return info
+}
+
 func TestServerLogsAndRecovers(t *testing.T) {
 	ds := task.ProductMatching()
 	path := filepath.Join(t.TempDir(), "events.jsonl")
@@ -67,7 +84,7 @@ func TestServerLogsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.RecoverFile(path, st2); err != nil {
+	if err := store.Replay(reopenLog(t, path).Events, st2); err != nil {
 		t.Fatal(err)
 	}
 	for _, tid := range did {

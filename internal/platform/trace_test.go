@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"icrowd/internal/obsv"
-	"icrowd/internal/store"
 )
 
 // TestInstrumentHonorsInboundTraceContext is the satellite-1 regression
@@ -106,13 +104,12 @@ func TestTraceQueryBoundsAndFilter(t *testing.T) {
 	}
 }
 
-// TestTraceByIDCollectsChildSpans drives a real submit against a durable
-// backend and asserts GET /v1/trace/{traceid} returns the request span
+// TestTraceByIDCollectsChildSpans drives a real submit against an
+// event-log backend and asserts GET /v1/trace/{traceid} returns the request span
 // plus its log.append and scheme.recompute children, all sharing the
 // trace.
 func TestTraceByIDCollectsChildSpans(t *testing.T) {
-	var log bytes.Buffer
-	srv, _, _ := newMetricsServer(t, WithBackend(store.NewWriter(&log)))
+	srv, _, _ := newMetricsServer(t, WithBackend(&flakyBackend{}))
 
 	status, _, body := exchange(t, srv.URL, "GET", "/v1/assign?workerId=w1", "")
 	var ar AssignResponse

@@ -2,31 +2,22 @@ package store
 
 import (
 	"errors"
-	"fmt"
 
 	"icrowd/internal/task"
 )
 
 // Backend is one durable event store: the unit a single project's history
-// lives in. The platform server binds one Backend per project and drives
-// it through four verbs — append an event, snapshot/compact, replay the
-// full history, and indexed lookups — so any implementation that keeps
-// those contracts (CRC log, segmented indexed store, or something remote)
-// can sit behind the server unchanged.
+// lives in. The platform server binds one Backend per project and appends
+// every assignment-relevant event to it; recovery reads the history back
+// through Open (RecoverInfo.Events) and feeds it to Replay. The interface
+// exists so tests can plug in a failing fake; the only implementation is
+// the CRC-framed Log.
 //
 // Contracts every implementation must keep:
 //
 //   - Append stamps events with a contiguous 1-based sequence and makes
 //     them durable under the backend's configured fsync policy before
 //     returning. A failed Append leaves the store exactly as it was.
-//   - Replay returns the complete surviving history in sequence order;
-//     replaying it through a fresh deterministic strategy reconstructs
-//     the live state (see Replay in this package).
-//   - EventsByTask / EventsByWorker return exactly the events Replay
-//     would return, filtered — an indexed backend answers from its index,
-//     a plain log is allowed to scan (O(full replay)).
-//   - Snapshot compacts the store so recovery cost stays bounded; it is
-//     a no-op when snapshotting is not configured.
 //   - Healthy reports lost durability (the most recent append or fsync
 //     failed) until a later append succeeds.
 //   - Close is idempotent.
@@ -34,78 +25,23 @@ type Backend interface {
 	// Append stamps e with the next sequence number, durably records it,
 	// and returns the stamped event.
 	Append(e Event) (Event, error)
-	// Replay returns the full replayable history in sequence order.
-	Replay() ([]Event, error)
-	// EventsByTask returns every event concerning the given task, in
-	// sequence order.
-	EventsByTask(taskID int) ([]Event, error)
-	// EventsByWorker returns every event concerning the given worker, in
-	// sequence order.
-	EventsByWorker(worker string) ([]Event, error)
 	// LastSeq returns the sequence number of the most recent event (0 when
 	// the store is empty).
 	LastSeq() int64
-	// Snapshot forces an immediate snapshot+compaction (no-op when
-	// snapshotting is not configured).
-	Snapshot() error
 	// Healthy reports the backend's durability health (see Log.Healthy).
 	Healthy() error
 	// Close releases the backend's resources. Idempotent.
 	Close() error
 }
 
-// BackendKind names a Backend implementation for configuration (the
-// server's -backend flag, ProjectStore layouts).
-type BackendKind string
-
-// The built-in backend kinds.
-const (
-	// BackendLog is the CRC-framed single-file append log (LogBackend):
-	// torn-tail repair, optional snapshot+compaction, lookups by scanning.
-	BackendLog BackendKind = "log"
-	// BackendIndexed is the embedded indexed store (IndexedBackend):
-	// segmented CRC-framed log files under a directory with an in-memory
-	// task/worker index, so lookups stop being O(full replay).
-	BackendIndexed BackendKind = "indexed"
-)
-
-// ParseBackendKind maps a flag value to a BackendKind.
-func ParseBackendKind(s string) (BackendKind, error) {
-	switch BackendKind(s) {
-	case BackendLog, BackendIndexed:
-		return BackendKind(s), nil
-	case "":
-		return BackendLog, nil
-	}
-	return "", fmt.Errorf("store: unknown backend kind %q (want %q or %q)", s, BackendLog, BackendIndexed)
-}
-
 // config is the resolved option set shared by Open and OpenProjects.
 type config struct {
-	kind          BackendKind
 	syncEvery     int
-	snapshotPath  string
 	snapshotEvery int
-	segmentEvents int
-}
-
-func resolveOptions(opts []Option) config {
-	cfg := config{kind: BackendLog}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
 }
 
 // Option configures Open and OpenProjects.
 type Option func(*config)
-
-// WithBackendKind selects the Backend implementation Open constructs:
-// BackendLog (the default) treats path as a single log file, BackendIndexed
-// treats it as a store directory.
-func WithBackendKind(k BackendKind) Option {
-	return func(c *config) { c.kind = k }
-}
 
 // WithFsync controls fsync frequency: 0 never fsyncs (the OS decides),
 // 1 fsyncs after every append, N fsyncs after every N appends.
@@ -113,52 +49,11 @@ func WithFsync(every int) Option {
 	return func(c *config) { c.syncEvery = every }
 }
 
-// WithSnapshotEvery enables snapshot+compaction every n appends. For the
-// log backend the snapshot lands next to the log (path + ".snap") unless
-// WithSnapshotPath overrides it; the indexed backend keeps its snapshot
-// inside the store directory.
+// WithSnapshotEvery enables snapshot+compaction every n appends: the full
+// history is written to the log's snapshot file (path + ".snap") and the
+// live log is truncated.
 func WithSnapshotEvery(n int) Option {
 	return func(c *config) { c.snapshotEvery = n }
-}
-
-// WithSnapshotPath overrides the log backend's snapshot file location
-// (and implies snapshotting; the interval defaults to 1024 appends unless
-// WithSnapshotEvery sets it). The indexed backend ignores it.
-func WithSnapshotPath(path string) Option {
-	return func(c *config) { c.snapshotPath = path }
-}
-
-// WithSegmentEvents sets how many events the indexed backend writes per
-// log segment before rotating (default 4096). The log backend ignores it.
-func WithSegmentEvents(n int) Option {
-	return func(c *config) { c.segmentEvents = n }
-}
-
-// Open is the canonical store constructor: it opens (creating if needed)
-// the durable backend at path, recovers whatever history survives on disk
-// — repairing a torn tail as described in the package comment — and
-// returns the backend plus what was recovered. Pass RecoverInfo.Events to
-// Replay to rebuild strategy state.
-//
-// With the default BackendLog kind, path is a single CRC-framed log file.
-// With WithBackendKind(BackendIndexed), path is a store directory of
-// segmented log files with an in-memory task/worker index.
-//
-// Open replaces the historical Open/OpenWithOptions/Load trio; the old
-// names survive as deprecated wrappers.
-func Open(path string, opts ...Option) (Backend, *RecoverInfo, error) {
-	cfg := resolveOptions(opts)
-	switch cfg.kind {
-	case BackendIndexed:
-		return openIndexed(path, cfg)
-	case BackendLog:
-		o := Options{SyncEvery: cfg.syncEvery, SnapshotPath: cfg.snapshotPath, SnapshotEvery: cfg.snapshotEvery}
-		if o.SnapshotPath == "" && o.SnapshotEvery > 0 {
-			o.SnapshotPath = path + ".snap"
-		}
-		return OpenWithOptions(path, o)
-	}
-	return nil, nil, fmt.Errorf("store: unknown backend kind %q", cfg.kind)
 }
 
 // AppendAssign records a successful task assignment on any backend.
@@ -180,25 +75,4 @@ func AppendSubmit(b Backend, worker string, taskID int, ans task.Answer) error {
 func AppendInactive(b Backend, worker string) error {
 	_, err := b.Append(Event{Kind: EventInactive, Worker: worker})
 	return err
-}
-
-// ErrNotQueryable reports a lookup on a backend that has nothing to scan
-// (an in-memory NewWriter log with no retained history).
-var ErrNotQueryable = errors.New("store: backend holds no queryable history")
-
-// filterEvents returns the events matching keep, preserving order.
-func filterEvents(events []Event, keep func(Event) bool) []Event {
-	var out []Event
-	for _, e := range events {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// concernsTask reports whether e is about taskID. Inactive events carry no
-// task, so they never match.
-func concernsTask(e Event, taskID int) bool {
-	return (e.Kind == EventAssign || e.Kind == EventSubmit) && e.Task == taskID
 }

@@ -5,25 +5,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
-
-	"icrowd/internal/task"
 )
 
-// The backend conformance suite: every Backend implementation must satisfy
-// the contracts documented on the interface. Each TestConformance* test
-// runs against every registered factory, so adding a backend means adding
-// one factory here and inheriting the whole suite.
+// The backend conformance suite: a Backend must satisfy the contracts
+// documented on the interface. Each TestConformance* test runs against
+// every registered factory, so a new backend adds one factory here and
+// inherits the whole suite.
 
 // backendFactory opens a backend of one kind inside dir.
 type backendFactory struct {
 	name string
 	// open opens (or reopens) the backend rooted in dir with extra options.
 	open func(t *testing.T, dir string, opts ...Option) (Backend, *RecoverInfo)
-	// tailFile returns the file whose tail is the crash-append surface (the
-	// log file, or the active segment of the indexed store).
-	tailFile func(t *testing.T, dir string) string
+	// tailFile returns the file whose tail is the crash-append surface.
+	tailFile func(dir string) string
 }
 
 func conformanceFactories() []backendFactory {
@@ -38,74 +34,41 @@ func conformanceFactories() []backendFactory {
 				}
 				return b, info
 			},
-			tailFile: func(t *testing.T, dir string) string {
-				return filepath.Join(dir, "events.log")
-			},
-		},
-		{
-			name: "indexed",
-			open: func(t *testing.T, dir string, opts ...Option) (Backend, *RecoverInfo) {
-				t.Helper()
-				all := append([]Option{WithBackendKind(BackendIndexed), WithSegmentEvents(8)}, opts...)
-				b, info, err := Open(dir, all...)
-				if err != nil {
-					t.Fatalf("open indexed backend: %v", err)
-				}
-				return b, info
-			},
-			tailFile: func(t *testing.T, dir string) string {
-				t.Helper()
-				ents, err := os.ReadDir(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var segs []string
-				for _, e := range ents {
-					if !e.IsDir() && filepath.Ext(e.Name()) == ".log" {
-						segs = append(segs, e.Name())
-					}
-				}
-				if len(segs) == 0 {
-					t.Fatal("indexed store has no segments")
-				}
-				sort.Strings(segs)
-				return filepath.Join(dir, segs[len(segs)-1])
-			},
+			tailFile: func(dir string) string { return filepath.Join(dir, "events.log") },
 		},
 	}
 }
 
-// driveWorkload appends a deterministic mixed workload of n events.
-func driveWorkload(t *testing.T, b Backend, n int) {
+// driveWorkload appends a deterministic mixed workload of n events and
+// returns them as the backend stamped them.
+func driveWorkload(t *testing.T, b Backend, n int) []Event {
 	t.Helper()
+	var out []Event
 	for i := 0; i < n; i++ {
-		worker := fmt.Sprintf("w%d", i%5)
-		tid := i % 7
-		var err error
+		e := Event{Kind: EventInactive, Worker: fmt.Sprintf("w%d", i%5)}
 		switch i % 3 {
 		case 0:
-			err = AppendAssign(b, worker, tid)
+			e.Kind, e.Task = EventAssign, i%7
 		case 1:
-			ans := task.Yes
+			e.Kind, e.Task, e.Answer = EventSubmit, i%7, "YES"
 			if i%2 == 0 {
-				ans = task.No
+				e.Answer = "NO"
 			}
-			err = AppendSubmit(b, worker, tid, ans)
-		default:
-			err = AppendInactive(b, worker)
 		}
+		got, err := b.Append(e)
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
+		out = append(out, got)
 	}
+	return out
 }
 
-// TestConformanceAppendReplayParity drives the identical workload into
-// every backend and demands bit-identical histories — from the live
-// backend, across a clean reopen, and between backend kinds.
+// TestConformanceAppendReplayParity drives a workload into every backend
+// and demands the acknowledged history back, bit-identical, across a clean
+// reopen.
 func TestConformanceAppendReplayParity(t *testing.T) {
 	const n = 50
-	var histories [][]Event
 	for _, f := range conformanceFactories() {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
@@ -114,14 +77,7 @@ func TestConformanceAppendReplayParity(t *testing.T) {
 			if info == nil || len(info.Events) != 0 {
 				t.Fatalf("fresh open recovered %v", info)
 			}
-			driveWorkload(t, b, n)
-			live, err := b.Replay()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(live) != n {
-				t.Fatalf("live replay has %d events, want %d", len(live), n)
-			}
+			live := driveWorkload(t, b, n)
 			for i, e := range live {
 				if e.Seq != int64(i+1) {
 					t.Fatalf("event %d has seq %d, want contiguous from 1", i, e.Seq)
@@ -135,21 +91,13 @@ func TestConformanceAppendReplayParity(t *testing.T) {
 			}
 			b2, info2 := f.open(t, dir)
 			defer b2.Close()
+			if info2.Tail != nil {
+				t.Fatalf("clean reopen reported a damaged tail: %v", info2.Tail)
+			}
 			if !reflect.DeepEqual(info2.Events, live) {
-				t.Fatal("recovered history differs from the live history")
+				t.Fatal("recovered history differs from the acknowledged history")
 			}
-			reopened, err := b2.Replay()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(reopened, live) {
-				t.Fatal("replay after reopen differs from the live history")
-			}
-			histories = append(histories, live)
 		})
-	}
-	if len(histories) == 2 && !reflect.DeepEqual(histories[0], histories[1]) {
-		t.Fatal("backends disagree on the history of the identical workload")
 	}
 }
 
@@ -169,8 +117,7 @@ func TestConformanceTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Crash mid-append: a partial frame lands at the tail.
-			tail := f.tailFile(t, dir)
-			fh, err := os.OpenFile(tail, os.O_APPEND|os.O_WRONLY, 0o644)
+			fh, err := os.OpenFile(f.tailFile(dir), os.O_APPEND|os.O_WRONLY, 0o644)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,11 +165,7 @@ func TestConformanceSnapshotRoundTrip(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			dir := t.TempDir()
 			b, _ := f.open(t, dir, WithSnapshotEvery(16))
-			driveWorkload(t, b, n)
-			live, err := b.Replay()
-			if err != nil {
-				t.Fatal(err)
-			}
+			live := driveWorkload(t, b, n)
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -237,57 +180,6 @@ func TestConformanceSnapshotRoundTrip(t *testing.T) {
 			}
 			if got := b2.LastSeq(); got != n {
 				t.Fatalf("LastSeq after snapshot round-trip = %d, want %d", got, n)
-			}
-			// An explicit snapshot is accepted and preserves the history too.
-			if err := b2.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			again, err := b2.Replay()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(again, live) {
-				t.Fatal("explicit Snapshot changed the replayable history")
-			}
-		})
-	}
-}
-
-// TestConformanceIndexedLookupEquivalence pins the lookup contract: the
-// indexed views must return exactly what filtering a full replay returns.
-func TestConformanceIndexedLookupEquivalence(t *testing.T) {
-	const n = 60
-	for _, f := range conformanceFactories() {
-		f := f
-		t.Run(f.name, func(t *testing.T) {
-			dir := t.TempDir()
-			b, _ := f.open(t, dir)
-			defer b.Close()
-			driveWorkload(t, b, n)
-			all, err := b.Replay()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for tid := 0; tid < 7; tid++ {
-				got, err := b.EventsByTask(tid)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := filterEvents(all, func(e Event) bool { return concernsTask(e, tid) })
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("EventsByTask(%d) = %d events, filtered replay has %d", tid, len(got), len(want))
-				}
-			}
-			for i := 0; i < 5; i++ {
-				w := fmt.Sprintf("w%d", i)
-				got, err := b.EventsByWorker(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := filterEvents(all, func(e Event) bool { return e.Worker == w })
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("EventsByWorker(%s) = %d events, filtered replay has %d", w, len(got), len(want))
-				}
 			}
 		})
 	}

@@ -36,11 +36,10 @@ func ValidProjectID(id string) bool {
 // "crashed driver resumes instead of re-paying the crowd" property,
 // per project.
 //
-// Layout: <root>/<id>/ holds the project's store — "events.log" (plus
-// "events.log.snap" when snapshotting) for the log backend, or the
-// segmented IndexedBackend layout when opened with
-// WithBackendKind(BackendIndexed). The backend kind and durability options
-// given to OpenProjects apply to every project opened through it.
+// Layout: <root>/<id>/events.log holds the project's log, with
+// "events.log.snap" beside it once a snapshot has been taken. The
+// durability options given to OpenProjects apply to every project opened
+// through it.
 type ProjectStore struct {
 	root string
 	opts []Option
@@ -83,12 +82,7 @@ func (ps *ProjectStore) Project(id string) (Backend, *RecoverInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	cfg := resolveOptions(ps.opts)
-	path := dir
-	if cfg.kind == BackendLog {
-		path = filepath.Join(dir, "events.log")
-	}
-	b, info, err := Open(path, ps.opts...)
+	b, info, err := Open(filepath.Join(dir, "events.log"), ps.opts...)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,11 +33,7 @@ func writeFramedLog(t *testing.T, n int) (string, []Event) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return path, events
+	return path, readClean(t, path)
 }
 
 func TestRecoverTruncatedFinalLine(t *testing.T) {
@@ -50,7 +47,7 @@ func TestRecoverTruncatedFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, tail, err := ReadTolerant(bytes.NewReader(raw[:len(raw)-7]))
+	got, tail, err := readTolerant(bytes.NewReader(raw[:len(raw)-7]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +63,7 @@ func TestRecoverTruncatedFinalLine(t *testing.T) {
 
 	// Open repairs the tear: the file is truncated to the valid prefix,
 	// the torn bytes are preserved, and appends continue the sequence.
-	l, info, err := OpenWithOptions(path, Options{})
+	l, info, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +76,7 @@ func TestRecoverTruncatedFinalLine(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("repaired log must read strictly: %v", err)
-	}
+	fixed := readClean(t, path)
 	if len(fixed) != 6 || fixed[5].Kind != EventInactive || fixed[5].Seq != 6 {
 		t.Fatalf("after repair+append: %+v", fixed)
 	}
@@ -110,7 +104,7 @@ func TestRecoverCorruptMiddleRecord(t *testing.T) {
 	lines[3] = bad
 	corrupt := append(bytes.Join(lines, []byte("\n")), '\n')
 
-	events, tail, err := ReadTolerant(bytes.NewReader(corrupt))
+	events, tail, err := readTolerant(bytes.NewReader(corrupt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,20 +124,11 @@ func TestRecoverCorruptMiddleRecord(t *testing.T) {
 		t.Fatalf("reason %q should name the checksum", tail.Reason)
 	}
 
-	// Strict Read refuses the same input.
-	if _, err := Read(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("strict Read must reject corruption")
-	}
-
 	// Open recovers the prefix, preserves the dropped suffix, and repairs.
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, info, err := OpenWithOptions(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = l.Close()
+	info := reopen(t, path)
 	if len(info.Events) != 3 || info.Tail == nil {
 		t.Fatalf("open info = %+v", info)
 	}
@@ -179,10 +164,7 @@ func TestRecoveryFromRepairedPrefixReplays(t *testing.T) {
 	raw, _ := os.ReadFile(path)
 	_ = os.WriteFile(path, raw[:len(raw)-11], 0o644)
 
-	info, err := Load(path, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := reopen(t, path)
 	if info.Tail == nil {
 		t.Fatal("tear must be diagnosed")
 	}
@@ -193,8 +175,14 @@ func TestRecoveryFromRepairedPrefixReplays(t *testing.T) {
 }
 
 func TestAppendWriteError(t *testing.T) {
-	l := NewWriter(failingWriter{})
-	err := AppendAssign(l, "w", 1)
+	b, _, err := Open(filepath.Join(t.TempDir(), "events.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	l := b.(*Log)
+	l.w = &faultyWriter{w: l.f, fails: 1}
+	err = AppendAssign(l, "w", 1)
 	if err == nil {
 		t.Fatal("expected write error")
 	}
@@ -207,27 +195,100 @@ func TestAppendWriteError(t *testing.T) {
 	}
 }
 
-type failingWriter struct{}
+// TestFailedAppendLeavesLogIntact pins the Backend contract that a failed
+// Append leaves the store as it was: a short write must not leave half a
+// record for the next acknowledged append to land behind, where reopening
+// would drop it and everything after it as a damaged tail. The snapshot
+// case fails right after a compaction, when the log's end has moved back
+// to zero.
+func TestFailedAppendLeavesLogIntact(t *testing.T) {
+	cases := []struct {
+		name   string
+		opts   []Option
+		before int // acknowledged appends before the failing one
+	}{
+		{"log", nil, 1},
+		{"snapshot", []Option{WithSnapshotEvery(4)}, 4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "events.log")
+			b, _, err := Open(path, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := b.(*Log)
+			for i := 0; i < c.before; i++ {
+				if err := AppendAssign(l, "w", i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.w = &faultyWriter{w: l.f, fails: 1}
+			if err := AppendAssign(l, "w", -1); err == nil {
+				t.Fatal("half-written append must fail")
+			}
+			for i := c.before; i < c.before+3; i++ {
+				if err := AppendAssign(l, "w", i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			info := reopen(t, path)
+			if info.Tail != nil {
+				t.Fatalf("failed append left a damaged tail: %v", info.Tail)
+			}
+			if len(info.Events) != c.before+3 {
+				t.Fatalf("recovered %d events, want the %d acknowledged ones", len(info.Events), c.before+3)
+			}
+			for i, e := range info.Events {
+				if e.Seq != int64(i+1) || e.Task != i {
+					t.Fatalf("event %d = %+v", i, e)
+				}
+			}
+		})
+	}
+}
+
+// faultyWriter writes through to w, except that its first fails writes
+// stop halfway through the record and fail, as a filling disk would.
+type faultyWriter struct {
+	w     io.Writer
+	fails int
+}
+
+func (f *faultyWriter) Write(b []byte) (int, error) {
+	if f.fails > 0 {
+		f.fails--
+		n, _ := f.w.Write(b[:len(b)/2])
+		return n, errDiskGone
+	}
+	return f.w.Write(b)
+}
 
 var errDiskGone = errors.New("disk gone")
-
-func (failingWriter) Write([]byte) (int, error) { return 0, errDiskGone }
 
 func TestLegacyPlainJSONLinesStillRead(t *testing.T) {
 	// Logs written before CRC framing (plain JSON lines) must stay
 	// replayable, including mixed with framed lines.
-	var buf bytes.Buffer
-	buf.WriteString(`{"seq":1,"kind":"assign","worker":"w","task":2}` + "\n")
-	lw := NewWriter(&buf)
-	lw.next = 2
-	if err := lw.AppendSubmit("w", 2, task.No); err != nil {
+	path := filepath.Join(t.TempDir(), "events.log")
+	plain := `{"seq":1,"kind":"assign","worker":"w","task":2}` + "\n"
+	if err := os.WriteFile(path, []byte(plain), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	events, err := Read(&buf)
+	l, _, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 || events[0].Task != 2 || events[1].Answer != "NO" {
+	if err := AppendSubmit(l, "w", 2, task.No); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events := readClean(t, path)
+	if len(events) != 2 || events[0].Task != 2 || events[1].Answer != "NO" || events[1].Seq != 2 {
 		t.Fatalf("events = %+v", events)
 	}
 }
@@ -236,8 +297,8 @@ func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "events.jsonl")
 	snapPath := logPath + ".snap"
-	opts := Options{SnapshotPath: snapPath, SnapshotEvery: 4, SyncEvery: 2}
-	l, info, err := OpenWithOptions(logPath, opts)
+	opts := []Option{WithSnapshotEvery(4), WithFsync(2)}
+	l, info, err := Open(logPath, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +313,7 @@ func TestSnapshotCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.SnapshotErr(); err != nil {
+	if err := l.(*Log).snapErr; err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -260,7 +321,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 	// 10 appends with SnapshotEvery=4: two compactions; the live log holds
 	// only the 2 post-snapshot events.
-	tailEvents, _, err := ReadTolerant(mustOpen(t, logPath))
+	tailEvents, _, err := readTolerant(mustOpen(t, logPath))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +337,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 
 	// Reopening merges snapshot + tail and continues the sequence.
-	l2, info2, err := OpenWithOptions(logPath, opts)
+	l2, info2, err := Open(logPath, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,19 +352,22 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err := AppendInactive(l2, "w"); err != nil {
 		t.Fatal(err)
 	}
-	_ = l2.Close()
-	info3, err := Load(logPath, snapPath)
-	if err != nil {
+	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(info3.Events) != 11 || info3.Events[10].Seq != 11 {
-		t.Fatalf("after reopen+append: %d events", len(info3.Events))
+	// The snapshot is read whether or not snapshotting is still enabled.
+	info3 := reopen(t, logPath)
+	if len(info3.Events) != 11 || info3.Events[10].Seq != 11 || info3.Tail != nil {
+		t.Fatalf("after reopen+append: %d events, tail %v", len(info3.Events), info3.Tail)
 	}
 
 	// A compacted log opened without its snapshot must refuse, not
 	// silently lose the prefix.
-	if _, err := Load(logPath, ""); err == nil {
-		t.Fatal("compacted log without snapshot must refuse to load")
+	if err := os.Remove(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(logPath); err == nil {
+		t.Fatal("compacted log without snapshot must refuse to open")
 	}
 }
 
@@ -313,28 +377,21 @@ func TestSnapshotOverlapAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "events.jsonl")
 	snapPath := logPath + ".snap"
-	l, _, err := OpenWithOptions(logPath, Options{})
+	l, _, err := Open(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []Event
 	for i := 0; i < 3; i++ {
 		_ = AppendAssign(l, "w", i)
 		_ = AppendSubmit(l, "w", i, task.No)
 	}
 	_ = l.Close()
-	all, err = ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := readClean(t, logPath)
 	// Snapshot the first 4 events but "crash" before truncating the log.
 	if err := WriteSnapshot(snapPath, all[:4]); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Load(logPath, snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := reopen(t, logPath)
 	if len(info.Events) != 6 || info.FromSnapshot != 4 {
 		t.Fatalf("overlap merge: %d events, %d from snapshot", len(info.Events), info.FromSnapshot)
 	}

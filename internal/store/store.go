@@ -18,10 +18,10 @@
 // accepted without checksum verification. Open repairs a torn tail — a
 // final record cut short by a crash — by truncating the file back to its
 // longest valid prefix (the discarded bytes are preserved next to the log
-// in a ".corrupt" file). Fsync frequency is configurable via
-// Options.SyncEvery, and Options.SnapshotPath enables periodic
-// snapshot+compaction so the live log stays short: the full event history
-// is atomically written to one checksummed snapshot file and the log is
+// in a ".corrupt" file). Fsync frequency is configurable via WithFsync,
+// and WithSnapshotEvery enables periodic snapshot+compaction so the live
+// log stays short: the full event history is atomically written to one
+// checksummed snapshot file (the log path plus ".snap") and the log is
 // truncated, making recovery read a single bulk blob plus a bounded tail
 // instead of an ever-growing line-by-line scan.
 package store
@@ -78,16 +78,13 @@ type Event struct {
 type WriteError struct {
 	// Op is the failing operation ("append", "sync", "marshal").
 	Op string
-	// Path is the log file path ("" for in-memory logs).
+	// Path is the log (or snapshot) file path.
 	Path string
 	// Err is the underlying error.
 	Err error
 }
 
 func (e *WriteError) Error() string {
-	if e.Path == "" {
-		return fmt.Sprintf("store: log %s: %v", e.Op, e.Err)
-	}
 	return fmt.Sprintf("store: log %s %s: %v", e.Op, e.Path, e.Err)
 }
 
@@ -114,44 +111,28 @@ func (t *Tail) String() string {
 		t.Line, t.Offset, t.TrailingLines, t.Reason)
 }
 
-// Options configures durability behaviour for OpenWithOptions.
-type Options struct {
-	// SyncEvery controls fsync frequency: 0 never fsyncs (the OS decides),
-	// 1 fsyncs after every append, N fsyncs after every N appends.
-	SyncEvery int
-	// SnapshotPath, when non-empty, enables snapshot+compaction: the full
-	// event history is periodically written to this file (atomically, via
-	// rename) and the live log is truncated to empty.
-	SnapshotPath string
-	// SnapshotEvery is the number of appends between automatic snapshots
-	// (default 1024 when SnapshotPath is set).
-	SnapshotEvery int
-}
-
-// RecoverInfo reports what OpenWithOptions or Load reconstructed.
+// RecoverInfo reports what Open reconstructed.
 type RecoverInfo struct {
 	// Events is the full replayable history (snapshot + log prefix).
 	Events []Event
 	// FromSnapshot is how many of Events came from the snapshot file.
 	FromSnapshot int
 	// Tail is non-nil when the log ended in a torn or corrupt suffix that
-	// was dropped (and, under Open, truncated away after being preserved
-	// in a ".corrupt" file).
+	// was dropped (and truncated away after being preserved in a
+	// ".corrupt" file).
 	Tail *Tail
 }
 
-// Log is an append-only JSON-lines event log with per-record checksums.
-// It is the BackendLog implementation of the Backend interface; LogBackend
-// is the interface-facing alias. Indexed lookups (Replay, EventsByTask,
-// EventsByWorker) re-scan the file — O(full replay), the documented
-// trade-off against IndexedBackend.
+// Log is an append-only JSON-lines event log with per-record checksums:
+// the Backend every project's history lives in.
 type Log struct {
 	mu        sync.Mutex
-	w         io.Writer
-	f         *os.File // owned file when opened via Open
+	w         io.Writer // f, except where a test injects a faulty writer
+	f         *os.File
 	path      string
 	next      int64
-	opts      Options
+	size      int64 // end of the last acknowledged record; a failed append truncates back to it
+	cfg       config
 	sinceSync int
 	sinceSnap int
 	retained  []Event // full history, kept only when snapshotting
@@ -159,106 +140,70 @@ type Log struct {
 	lastErr   error   // last append/sync failure, cleared by a success
 }
 
-// LogBackend is the CRC-framed single-file append log behind the Backend
-// interface: torn-tail repair, fsync policy, and snapshot/compaction as
-// described in the package comment.
-type LogBackend = Log
-
 var _ Backend = (*Log)(nil)
 
-// OpenWithOptions opens the log at path, loads the snapshot (when
-// configured and present), scans and repairs the log, and returns the
-// combined replayable history. The returned RecoverInfo is valid even when
-// the log existed: pass RecoverInfo.Events to Replay to rebuild state.
-//
-// Deprecated: use the canonical Open with WithFsync / WithSnapshotPath /
-// WithSnapshotEvery options.
-func OpenWithOptions(path string, opts Options) (*Log, *RecoverInfo, error) {
-	if opts.SnapshotPath != "" && opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = 1024
+// Open opens (creating if needed) the log file at path, recovers whatever
+// history survives on disk — the snapshot at path + ".snap" when one
+// exists, then the log, repairing a torn tail as described in the package
+// comment — and returns the log plus what was recovered. Pass
+// RecoverInfo.Events to Replay to rebuild strategy state.
+func Open(path string, opts ...Option) (_ Backend, _ *RecoverInfo, err error) {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
 	}
-	info := &RecoverInfo{}
-	var snap []Event
-	if opts.SnapshotPath != "" {
-		s, err := ReadSnapshot(opts.SnapshotPath)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, nil, err
-		}
-		snap = s
+	snap, err := ReadSnapshot(path + ".snap")
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	logEvents, tail, err := scanFile(path)
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	logEvents, tail, err := readTolerant(f)
 	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
-	merged, err := mergeHistory(snap, logEvents, path, opts.SnapshotPath)
+	merged, err := mergeHistory(snap, logEvents, path)
 	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
 	if tail != nil {
 		// Repair: preserve the damaged suffix, then truncate it away so
 		// future appends extend the valid prefix.
 		if err := preserveCorrupt(path, tail.Offset); err != nil {
-			f.Close()
 			return nil, nil, err
 		}
 		if err := f.Truncate(tail.Offset); err != nil {
-			f.Close()
 			return nil, nil, err
 		}
 	}
-	info.Events = merged
-	info.FromSnapshot = len(snap)
-	info.Tail = tail
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, nil, err
+	}
 	var next int64 = 1
 	if n := len(merged); n > 0 {
 		next = merged[n-1].Seq + 1
 	}
-	l := &Log{w: f, f: f, path: path, next: next, opts: opts}
-	if opts.SnapshotPath != "" {
+	l := &Log{w: f, f: f, path: path, next: next, size: size, cfg: cfg}
+	if cfg.snapshotEvery > 0 {
 		l.retained = append(l.retained, merged...)
 		l.sinceSnap = len(logEvents)
 	}
-	return l, info, nil
-}
-
-// Load reads the replayable history (snapshot + log) without opening the
-// log for appending. snapshotPath may be empty when snapshotting is not in
-// use. Unlike Open, Load never modifies the files.
-//
-// Deprecated: open the backend with the canonical Open (which returns the
-// same RecoverInfo) or query a live backend through Replay/EventsBy*.
-// Load remains for read-only offline inspection of log-backend files.
-func Load(logPath, snapshotPath string) (*RecoverInfo, error) {
-	var snap []Event
-	if snapshotPath != "" {
-		s, err := ReadSnapshot(snapshotPath)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		snap = s
-	}
-	logEvents, tail, err := scanFile(logPath)
-	if err != nil {
-		return nil, err
-	}
-	merged, err := mergeHistory(snap, logEvents, logPath, snapshotPath)
-	if err != nil {
-		return nil, err
-	}
-	return &RecoverInfo{Events: merged, FromSnapshot: len(snap), Tail: tail}, nil
+	return l, &RecoverInfo{Events: merged, FromSnapshot: len(snap), Tail: tail}, nil
 }
 
 // mergeHistory combines snapshot events with the live log's events,
 // tolerating the overlap left by a crash between snapshot write and log
 // truncation, and refusing gaps (a compacted log opened without its
 // snapshot would otherwise silently lose its prefix).
-func mergeHistory(snap, logEvents []Event, logPath, snapPath string) ([]Event, error) {
+func mergeHistory(snap, logEvents []Event, logPath string) ([]Event, error) {
 	var lastSnap int64
 	if n := len(snap); n > 0 {
 		lastSnap = snap[n-1].Seq
@@ -270,10 +215,10 @@ func mergeHistory(snap, logEvents []Event, logPath, snapPath string) ([]Event, e
 			continue // crash between snapshot and compaction: already snapshotted
 		}
 		if e.Seq != want {
-			if snapPath == "" {
+			if len(snap) == 0 {
 				return nil, fmt.Errorf("store: log %s starts at seq %d, want %d (compacted log without its snapshot?)", logPath, e.Seq, want)
 			}
-			return nil, fmt.Errorf("store: log %s has seq %d after snapshot %s ending at %d (missing events)", logPath, e.Seq, snapPath, lastSnap)
+			return nil, fmt.Errorf("store: log %s has seq %d after snapshot %s.snap ending at %d (missing events)", logPath, e.Seq, logPath, lastSnap)
 		}
 		merged = append(merged, e)
 		want++
@@ -301,111 +246,26 @@ func preserveCorrupt(path string, offset int64) error {
 	return err
 }
 
-func scanFile(path string) ([]Event, *Tail, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadTolerant(f)
-}
-
-// NewWriter wraps an arbitrary writer (for tests and in-memory use).
-func NewWriter(w io.Writer) *Log { return &Log{w: w, next: 1} }
-
-// Close fsyncs (when a sync policy is configured) and closes the
-// underlying file if the log owns one. Idempotent.
+// Close fsyncs (when a sync policy left appends unsynced) and closes the
+// file. The first error wins, so a shutdown that did not persist its last
+// appends says so. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
-	if l.opts.SyncEvery > 0 && l.sinceSync > 0 {
-		_ = l.f.Sync()
+	var err error
+	if l.cfg.syncEvery > 0 && l.sinceSync > 0 {
+		if serr := l.f.Sync(); serr != nil {
+			err = &WriteError{Op: "sync", Path: l.path, Err: serr}
+		}
 	}
-	err := l.f.Close()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	l.f = nil
 	return err
-}
-
-// AppendAssign records a successful task assignment.
-func (l *Log) AppendAssign(worker string, taskID int) error {
-	return l.append(Event{Kind: EventAssign, Worker: worker, Task: taskID})
-}
-
-// AppendSubmit records a submitted answer.
-func (l *Log) AppendSubmit(worker string, taskID int, ans task.Answer) error {
-	if ans != task.Yes && ans != task.No {
-		return errors.New("store: answer must be YES or NO")
-	}
-	return l.append(Event{Kind: EventSubmit, Worker: worker, Task: taskID, Answer: ans.String()})
-}
-
-// AppendInactive records a worker leaving.
-func (l *Log) AppendInactive(worker string) error {
-	return l.append(Event{Kind: EventInactive, Worker: worker})
-}
-
-// Append stamps e with the next sequence number and durably records it
-// (Backend interface). The Kind must be one of the Event kinds; Seq is
-// assigned by the log regardless of what the caller set.
-func (l *Log) Append(e Event) (Event, error) {
-	switch e.Kind {
-	case EventAssign, EventSubmit, EventInactive:
-	default:
-		return Event{}, fmt.Errorf("store: append: unknown kind %q", e.Kind)
-	}
-	return l.appendEvent(e)
-}
-
-// Replay returns the full replayable history (Backend interface): the
-// retained in-memory history when snapshotting is on, otherwise a fresh
-// scan of the snapshot and log files — O(full replay) by design; use
-// IndexedBackend when lookups must be cheap. In-memory writer logs
-// (NewWriter) hold no readable history and return ErrNotQueryable.
-func (l *Log) Replay() ([]Event, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.opts.SnapshotPath != "" {
-		return append([]Event(nil), l.retained...), nil
-	}
-	if l.path == "" {
-		return nil, ErrNotQueryable
-	}
-	info, err := Load(l.path, "")
-	if err != nil {
-		return nil, err
-	}
-	if info.Tail != nil {
-		// The tail was valid at open time; damage appearing afterwards is
-		// an integrity failure, not something to silently drop.
-		return nil, fmt.Errorf("store: log %s damaged since open: %s", l.path, info.Tail)
-	}
-	return info.Events, nil
-}
-
-// EventsByTask returns every event about taskID, in order (Backend
-// interface; scans the history — see Replay).
-func (l *Log) EventsByTask(taskID int) ([]Event, error) {
-	events, err := l.Replay()
-	if err != nil {
-		return nil, err
-	}
-	return filterEvents(events, func(e Event) bool { return concernsTask(e, taskID) }), nil
-}
-
-// EventsByWorker returns every event about worker, in order (Backend
-// interface; scans the history — see Replay).
-func (l *Log) EventsByWorker(worker string) ([]Event, error) {
-	events, err := l.Replay()
-	if err != nil {
-		return nil, err
-	}
-	return filterEvents(events, func(e Event) bool { return e.Worker == worker }), nil
 }
 
 // LastSeq returns the sequence number of the most recent event (0 when
@@ -429,14 +289,17 @@ func frameLine(b []byte) []byte {
 	return append(out, '\n')
 }
 
-func (l *Log) append(e Event) error {
-	_, err := l.appendEvent(e)
-	return err
-}
-
-// appendEvent stamps the sequence number under the lock and writes the
-// framed record; it returns the stamped event.
-func (l *Log) appendEvent(e Event) (Event, error) {
+// Append stamps e with the next sequence number and durably records it
+// (Backend interface). The Kind must be one of the Event kinds; Seq is
+// assigned by the log regardless of what the caller set. A failed write or
+// fsync truncates the file back to the last acknowledged record, so the
+// failed event neither survives a reopen nor corrupts the records after it.
+func (l *Log) Append(e Event) (Event, error) {
+	switch e.Kind {
+	case EventAssign, EventSubmit, EventInactive:
+	default:
+		return Event{}, fmt.Errorf("store: append: unknown kind %q", e.Kind)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e.Seq = l.next
@@ -445,30 +308,40 @@ func (l *Log) appendEvent(e Event) (Event, error) {
 		l.lastErr = &WriteError{Op: "marshal", Path: l.path, Err: err}
 		return Event{}, l.lastErr
 	}
-	if _, err := l.w.Write(frameLine(b)); err != nil {
-		l.lastErr = &WriteError{Op: "append", Path: l.path, Err: err}
-		return Event{}, l.lastErr
+	line := frameLine(b)
+	if _, err := l.w.Write(line); err != nil {
+		return Event{}, l.rollback("append", err)
 	}
-	l.next++
-	if l.opts.SyncEvery > 0 && l.f != nil {
+	if l.cfg.syncEvery > 0 {
 		l.sinceSync++
-		if l.sinceSync >= l.opts.SyncEvery {
+		if l.sinceSync >= l.cfg.syncEvery {
 			if err := l.f.Sync(); err != nil {
-				l.lastErr = &WriteError{Op: "sync", Path: l.path, Err: err}
-				return Event{}, l.lastErr
+				return Event{}, l.rollback("sync", err)
 			}
 			l.sinceSync = 0
 		}
 	}
+	l.next++
+	l.size += int64(len(line))
 	l.lastErr = nil
-	if l.opts.SnapshotPath != "" {
+	if l.cfg.snapshotEvery > 0 {
 		l.retained = append(l.retained, e)
 		l.sinceSnap++
-		if l.sinceSnap >= l.opts.SnapshotEvery {
+		if l.sinceSnap >= l.cfg.snapshotEvery {
 			l.snapshotLocked()
 		}
 	}
 	return e, nil
+}
+
+// rollback truncates away whatever a failed append left past the last
+// acknowledged record and remembers the failure for Healthy.
+func (l *Log) rollback(op string, err error) error {
+	if terr := l.f.Truncate(l.size); terr != nil {
+		err = errors.Join(err, terr)
+	}
+	l.lastErr = &WriteError{Op: op, Path: l.path, Err: err}
+	return l.lastErr
 }
 
 // Healthy reports the log's durability health: nil while the most recent
@@ -481,31 +354,12 @@ func (l *Log) Healthy() error {
 	return l.lastErr
 }
 
-// Snapshot forces an immediate snapshot+compaction (no-op unless
-// Options.SnapshotPath was configured). The returned error is also
-// remembered and available via SnapshotErr.
-func (l *Log) Snapshot() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.opts.SnapshotPath == "" || l.f == nil {
-		return nil
-	}
-	l.snapshotLocked()
-	return l.snapErr
-}
-
-// SnapshotErr returns the error from the most recent automatic snapshot
-// attempt (nil when the last attempt succeeded). Snapshot failures never
-// fail the triggering append: the log simply keeps growing until a later
-// snapshot succeeds.
-func (l *Log) SnapshotErr() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapErr
-}
-
+// snapshotLocked writes the retained history to the snapshot file and
+// compacts the log. Failures never fail the triggering append: they are
+// kept in snapErr and the log simply keeps growing until a later snapshot
+// succeeds.
 func (l *Log) snapshotLocked() {
-	if err := WriteSnapshot(l.opts.SnapshotPath, l.retained); err != nil {
+	if err := WriteSnapshot(l.path+".snap", l.retained); err != nil {
 		l.snapErr = err
 		return
 	}
@@ -515,6 +369,7 @@ func (l *Log) snapshotLocked() {
 		l.snapErr = err
 		return
 	}
+	l.size = 0
 	l.sinceSnap = 0
 	l.snapErr = nil
 }
@@ -554,13 +409,13 @@ func isHex8(b []byte) bool {
 	return true
 }
 
-// ReadTolerant parses events from r, stopping at the first damaged record
+// readTolerant parses events from r, stopping at the first damaged record
 // (parse failure, checksum mismatch, or sequence discontinuity) instead of
 // failing: it returns the valid prefix plus a Tail describing what was
 // dropped. The sequence chain may start at any number (a compacted log
 // starts where its snapshot ended); the error is non-nil only for I/O
 // failures on r itself.
-func ReadTolerant(r io.Reader) ([]Event, *Tail, error) {
+func readTolerant(r io.Reader) ([]Event, *Tail, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var events []Event
 	var offset int64
@@ -614,33 +469,6 @@ func countLines(br *bufio.Reader) int {
 	}
 }
 
-// Read parses all events from r strictly: any damaged record or sequence
-// gap is an error, and the sequence must start at 1. Use ReadTolerant (or
-// Open/Load, which repair and report) for crash recovery.
-func Read(r io.Reader) ([]Event, error) {
-	events, tail, err := ReadTolerant(r)
-	if err != nil {
-		return nil, err
-	}
-	if tail != nil {
-		return nil, fmt.Errorf("store: line %d: %s", tail.Line, tail.Reason)
-	}
-	if len(events) > 0 && events[0].Seq != 1 {
-		return nil, fmt.Errorf("store: line 1: sequence %d, want 1", events[0].Seq)
-	}
-	return events, nil
-}
-
-// ReadFile parses all events from the log at path (strict, see Read).
-func ReadFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
-}
-
 // Replay feeds the events through a fresh strategy, reconstructing its
 // state. Assign events re-issue RequestTask — strategies are deterministic,
 // so the same event order yields the same assignments the original run
@@ -678,15 +506,4 @@ func Replay(events []Event, s core.Strategy) error {
 		}
 	}
 	return nil
-}
-
-// RecoverFile reads the log at path and replays it through the strategy
-// (strict read; no snapshot). Servers using snapshots or wanting torn-tail
-// tolerance should use Load or OpenWithOptions and call Replay themselves.
-func RecoverFile(path string, s core.Strategy) error {
-	events, err := ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return Replay(events, s)
 }

@@ -1,10 +1,9 @@
 package store
 
 import (
-	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"icrowd/internal/baseline"
@@ -12,9 +11,37 @@ import (
 	"icrowd/internal/task"
 )
 
+// reopen opens the log at path, closes it again, and returns what Open
+// recovered.
+func reopen(t *testing.T, path string, opts ...Option) *RecoverInfo {
+	t.Helper()
+	b, info, err := Open(path, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// readClean returns the history of a log that must be undamaged: the
+// recovered events, failing on any dropped tail.
+func readClean(t *testing.T, path string) []Event {
+	t.Helper()
+	info := reopen(t, path)
+	if info.Tail != nil {
+		t.Fatalf("log %s has a damaged tail: %v", path, info.Tail)
+	}
+	return info.Events
+}
+
 func TestAppendAndRead(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewWriter(&buf)
+	path := filepath.Join(t.TempDir(), "events.log")
+	l, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := AppendAssign(l, "w1", 3); err != nil {
 		t.Fatal(err)
 	}
@@ -27,10 +54,10 @@ func TestAppendAndRead(t *testing.T) {
 	if err := AppendSubmit(l, "w1", 3, task.None); err == nil {
 		t.Fatal("None answer should error")
 	}
-	events, err := Read(&buf)
-	if err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	events := readClean(t, path)
 	if len(events) != 3 {
 		t.Fatalf("got %d events", len(events))
 	}
@@ -50,20 +77,31 @@ func TestReadRejectsCorruption(t *testing.T) {
 		name string
 		in   string
 	}{
-		{"bad json", "{"},
-		{"bad seq", `{"seq":5,"kind":"submit","worker":"w","task":0,"answer":"YES"}`},
-		{"bad kind", `{"seq":1,"kind":"bogus","worker":"w"}`},
+		{"bad json", "{\n"},
+		{"bad seq", `{"seq":5,"kind":"submit","worker":"w","task":0,"answer":"YES"}` + "\n"},
+		{"bad kind", `{"seq":1,"kind":"bogus","worker":"w"}` + "\n"},
 	}
 	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c.in)); err == nil {
-			t.Fatalf("%s: expected error", c.name)
+		path := filepath.Join(t.TempDir(), "events.log")
+		if err := os.WriteFile(path, []byte(c.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, info, err := Open(path)
+		if err == nil {
+			b.Close()
+			if info.Tail == nil {
+				t.Fatalf("%s: expected a rejected record", c.name)
+			}
 		}
 	}
 	// Blank lines are tolerated.
+	path := filepath.Join(t.TempDir(), "events.log")
 	in := "\n" + `{"seq":1,"kind":"inactive","worker":"w"}` + "\n\n"
-	events, err := Read(strings.NewReader(in))
-	if err != nil || len(events) != 1 {
-		t.Fatalf("blank-line handling: %v %d", err, len(events))
+	if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if events := readClean(t, path); len(events) != 1 {
+		t.Fatalf("blank-line handling: %d events", len(events))
 	}
 }
 
@@ -85,20 +123,21 @@ func TestOpenAppendsAcrossSessions(t *testing.T) {
 	}
 	_ = AppendInactive(l2, "a")
 	_ = l2.Close()
-	events, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := readClean(t, path)
 	if len(events) != 3 || events[2].Seq != 3 {
 		t.Fatalf("events = %+v", events)
 	}
 }
 
-// drive runs a strategy while logging every event, returning the log buffer.
-func drive(t *testing.T, s core.Strategy, ds *task.Dataset, seed int64, steps int) *bytes.Buffer {
+// drive runs a strategy while logging every event, returning the logged
+// history.
+func drive(t *testing.T, s core.Strategy, ds *task.Dataset, seed int64, steps int) []Event {
 	t.Helper()
-	var buf bytes.Buffer
-	l := NewWriter(&buf)
+	path := filepath.Join(t.TempDir(), "events.log")
+	l, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	workers := []string{"a", "b", "c", "d"}
 	for i := 0; i < steps && !s.Done(); i++ {
@@ -128,18 +167,16 @@ func drive(t *testing.T, s core.Strategy, ds *task.Dataset, seed int64, steps in
 			t.Fatal(err)
 		}
 	}
-	return &buf
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return readClean(t, path)
 }
 
 func TestReplayReconstructsRandomMV(t *testing.T) {
 	ds := task.ProductMatching()
 	orig, _ := baseline.NewRandomMV(ds, 3, []int{0, 1}, 7)
-	buf := drive(t, orig, ds, 11, 500)
-
-	events, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := drive(t, orig, ds, 11, 500)
 	fresh, _ := baseline.NewRandomMV(ds, 3, []int{0, 1}, 7)
 	if err := Replay(events, fresh); err != nil {
 		t.Fatal(err)
@@ -169,12 +206,7 @@ func TestReplayReconstructsICrowd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := drive(t, orig, ds, 13, 800)
-
-	events, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := drive(t, orig, ds, 13, 800)
 	fresh, err := core.New(ds, basis, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +234,7 @@ func TestReplayReconstructsICrowd(t *testing.T) {
 func TestReplayDetectsMismatchedConfig(t *testing.T) {
 	ds := task.ProductMatching()
 	orig, _ := baseline.NewRandomMV(ds, 3, nil, 7)
-	buf := drive(t, orig, ds, 11, 200)
-	events, _ := Read(bytes.NewReader(buf.Bytes()))
+	events := drive(t, orig, ds, 11, 200)
 	// Different seed => different random assignments => mismatch detected.
 	fresh, _ := baseline.NewRandomMV(ds, 3, nil, 99)
 	if err := Replay(events, fresh); err == nil {
@@ -247,34 +278,22 @@ func TestRecoverFile(t *testing.T) {
 	_ = l.Close()
 
 	fresh, _ := baseline.NewRandomMV(ds, 3, nil, 7)
-	if err := RecoverFile(path, fresh); err != nil {
+	if err := Replay(readClean(t, path), fresh); err != nil {
 		t.Fatal(err)
 	}
 	if len(fresh.Job().Votes(tid)) != 1 {
 		t.Fatal("recovered state missing the vote")
 	}
-	if err := RecoverFile(filepath.Join(t.TempDir(), "none.jsonl"), fresh); err == nil {
-		t.Fatal("missing file should error")
-	}
 }
-
-// failNWriter fails the first n writes, then succeeds.
-type failNWriter struct {
-	n int
-}
-
-func (w *failNWriter) Write(b []byte) (int, error) {
-	if w.n > 0 {
-		w.n--
-		return 0, errWriteFailed
-	}
-	return len(b), nil
-}
-
-var errWriteFailed = &WriteError{Op: "append", Err: nil}
 
 func TestHealthyTracksStickyWriteError(t *testing.T) {
-	l := NewWriter(&failNWriter{n: 1})
+	b, _, err := Open(filepath.Join(t.TempDir(), "events.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	l := b.(*Log)
+	l.w = &faultyWriter{w: l.f, fails: 1}
 	if err := l.Healthy(); err != nil {
 		t.Fatalf("fresh log should be healthy, got %v", err)
 	}

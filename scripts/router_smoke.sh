@@ -28,16 +28,16 @@ $GO build -o "$BIN/icrowd-server" ./cmd/icrowd-server
 $GO build -o "$BIN/icrowd-router" ./cmd/icrowd-router
 
 start_shard() {
-	# start_shard PORT LOGFILE -> pid on stdout
+	# start_shard PORT DATADIR -> pid on stdout
 	"$BIN/icrowd-server" -addr "127.0.0.1:$1" -strategy randommv -k 3 \
-		-log "$2" >"$BIN/shard_$1.log" 2>&1 &
+		-data-dir "$2" >"$BIN/shard_$1.log" 2>&1 &
 	echo $!
 }
 
-SHARD1_PID=$(start_shard "$S1" "$BIN/shard1.events.log")
+SHARD1_PID=$(start_shard "$S1" "$BIN/shard1")
 PIDS="$SHARD1_PID"
-PIDS="$PIDS $(start_shard "$S2" "$BIN/shard2.events.log")"
-PIDS="$PIDS $(start_shard "$S3" "$BIN/shard3.events.log")"
+PIDS="$PIDS $(start_shard "$S2" "$BIN/shard2")"
+PIDS="$PIDS $(start_shard "$S3" "$BIN/shard3")"
 
 "$BIN/icrowd-router" -addr "127.0.0.1:$PORT" \
 	-shards "http://127.0.0.1:$S1,http://127.0.0.1:$S2,http://127.0.0.1:$S3" \
@@ -92,7 +92,7 @@ done
 
 # The write path must have spread across all three shards (the ring is
 # balanced) — check each shard logged at least one event.
-for f in "$BIN/shard1.events.log" "$BIN/shard2.events.log" "$BIN/shard3.events.log"; do
+for f in "$BIN"/shard1/default/events.log "$BIN"/shard2/default/events.log "$BIN"/shard3/default/events.log; do
 	[ -s "$f" ] || fail "shard log $f is empty: the ring routed nothing there"
 done
 
@@ -150,7 +150,7 @@ done
 
 # Restart shard 1 from its event log at the same address: the router must
 # re-admit it and the fleet must report ready again.
-SHARD1_PID=$(start_shard "$S1" "$BIN/shard1.events.log")
+SHARD1_PID=$(start_shard "$S1" "$BIN/shard1")
 PIDS="$PIDS $SHARD1_PID"
 readmitted=0
 for _ in $(seq 1 80); do
@@ -161,5 +161,7 @@ for _ in $(seq 1 80); do
 	sleep 0.25
 done
 [ "$readmitted" = 1 ] || fail "restarted shard was never re-admitted"
+grep -q "recovered events from log" "$BIN/shard_$S1.log" || \
+	fail "restarted shard did not replay its own event log"
 
 echo "router-smoke: OK (3 shards + router; kill/restart degraded and recovered cleanly)"

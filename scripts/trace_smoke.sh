@@ -28,14 +28,14 @@ $GO build -o "$BIN/icrowd-server" ./cmd/icrowd-server
 $GO build -o "$BIN/icrowd-router" ./cmd/icrowd-router
 
 start_shard() {
-	# start_shard PORT LOGFILE -> pid on stdout
+	# start_shard PORT DATADIR -> pid on stdout
 	"$BIN/icrowd-server" -addr "127.0.0.1:$1" -strategy randommv -k 3 \
-		-log "$2" -slo-latency 250ms >"$BIN/shard_$1.log" 2>&1 &
+		-data-dir "$2" -slo-latency 250ms >"$BIN/shard_$1.log" 2>&1 &
 	echo $!
 }
 
-PIDS="$(start_shard "$S1" "$BIN/shard1.events.log")"
-PIDS="$PIDS $(start_shard "$S2" "$BIN/shard2.events.log")"
+PIDS="$(start_shard "$S1" "$BIN/shard1")"
+PIDS="$PIDS $(start_shard "$S2" "$BIN/shard2")"
 
 "$BIN/icrowd-router" -addr "127.0.0.1:$PORT" \
 	-shards "http://127.0.0.1:$S1,http://127.0.0.1:$S2" \
