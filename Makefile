@@ -26,14 +26,17 @@ lint: vet
 race:
 	$(GO) test -race ./...
 
-# Focused race pass over the observability layer, the platform server and
-# the shard router — the packages whose instruments, log handler, tracer
-# ring, SLO burn-rate engine, probe surface, admission gate, per-worker
-# limiter map and health tracker are hammered from many goroutines at once
-# (see TestContentionAllInstruments, TestWorkerLimiterEvictRaceHammer,
-# TestChaosOverloadBurst, TestChaosKillShard, TestTraceAssemblyAcrossFleet).
+# Focused race pass over the observability layer, the platform server, the
+# shard router and the adaptive core — the packages whose instruments, log
+# handler, tracer ring, SLO burn-rate engine, probe surface, admission gate,
+# per-worker limiter map, health tracker and scheme pool are hammered from
+# many goroutines at once. The scheme pool runs Index.TopWorkers from
+# several goroutines over one shared estimator (see
+# TestContentionAllInstruments, TestWorkerLimiterEvictRaceHammer,
+# TestChaosOverloadBurst, TestChaosKillShard, TestTraceAssemblyAcrossFleet,
+# TestConcurrentWorkers).
 race-hot:
-	$(GO) test -race ./internal/obsv ./internal/platform ./internal/shard
+	$(GO) test -race ./internal/obsv ./internal/platform ./internal/shard ./internal/core
 
 # Backend conformance suite: the store.Backend contract tests against the
 # CRC-framed event log — append/recover parity, torn-tail crash recovery,
@@ -61,12 +64,12 @@ router-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Determinism contracts on their own: parallel precompute and the cached
-# scheme are bit-identical to the sequential paths, and the /v1 API is
-# byte-identical to the legacy mount. (Also covered by `race`, but this
-# target names the invariants and runs in seconds.)
+# Determinism contracts on their own: parallel precompute, the cached
+# scheme and the bounded top-k index are bit-identical to the sequential or
+# reference paths, and the /v1 API is byte-identical to the legacy mount.
+# (Also covered by `race`, but this target names the invariants.)
 parity:
-	$(GO) test -run 'Parity|Golden|Deterministic' ./internal/ppr ./internal/core ./internal/platform
+	$(GO) test -run 'Parity|Golden|Deterministic' ./internal/ppr ./internal/core ./internal/platform ./internal/assign
 
 # The gate a PR must pass. bench-diff runs report-only here because shared
 # CI machines are too noisy for a hard ns/op gate; run `make bench-diff`

@@ -121,8 +121,9 @@ func main() {
 			seq,
 			par,
 			delta,
-			run("BenchmarkComputeScheme/concurrency=1", hotbench.ComputeScheme(1)),
-			run(fmt.Sprintf("BenchmarkComputeScheme/concurrency=%d", pw), hotbench.ComputeScheme(pw)),
+			run("BenchmarkComputeScheme/concurrency=1", hotbench.ComputeScheme(1, hotbench.SchemeCrowd)),
+			run(fmt.Sprintf("BenchmarkComputeScheme/concurrency=%d", pw), hotbench.ComputeScheme(pw, hotbench.SchemeCrowd)),
+			run(fmt.Sprintf("BenchmarkComputeScheme/crowd=%d", hotbench.AdaptiveCrowd), hotbench.ComputeScheme(1, hotbench.AdaptiveCrowd)),
 			assignOn,
 			assignOff,
 		},

@@ -31,11 +31,14 @@ func BenchmarkPrecomputeDelta(b *testing.B) {
 
 // BenchmarkComputeScheme measures one adaptive round mid-job: a submitted
 // answer dirties the worker's top-set entries and the following request
-// forces the incremental scheme recomputation.
+// forces the incremental scheme recomputation. The concurrency=N rows run a
+// 24-worker crowd; crowd=200 runs the serving benchmark's crowd size
+// sequentially, where a task's support far outgrows its top set.
 func BenchmarkComputeScheme(b *testing.B) {
 	for _, c := range []int{1, hotbench.ParallelWorkers} {
-		b.Run(fmt.Sprintf("concurrency=%d", c), hotbench.ComputeScheme(c))
+		b.Run(fmt.Sprintf("concurrency=%d", c), hotbench.ComputeScheme(c, hotbench.SchemeCrowd))
 	}
+	b.Run(fmt.Sprintf("crowd=%d", hotbench.AdaptiveCrowd), hotbench.ComputeScheme(1, hotbench.AdaptiveCrowd))
 }
 
 // BenchmarkAssignThroughput measures the /assign fast path: concurrent

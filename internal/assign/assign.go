@@ -6,9 +6,10 @@
 package assign
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"icrowd/internal/estimate"
@@ -70,106 +71,131 @@ func TopWorkers(e *estimate.Estimator, taskID, k int, eligible []string) []Candi
 }
 
 func sortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Accuracy != cs[j].Accuracy {
-			return cs[i].Accuracy > cs[j].Accuracy
-		}
-		return cs[i].Worker < cs[j].Worker
-	})
+	sort.Slice(cs, func(i, j int) bool { return ranksBefore(cs[i], cs[j]) })
+}
+
+// ranksBefore is the total order of top worker sets: accuracy descending,
+// then worker ID ascending. Worker IDs are distinct, so no two candidates
+// compare equal and the top k of any set is unique.
+func ranksBefore(a, b Candidate) bool {
+	if a.Accuracy != b.Accuracy {
+		return a.Accuracy > b.Accuracy
+	}
+	return a.Worker < b.Worker
 }
 
 // Index accelerates top-worker computation ("effective index structures",
-// Section 4.1): workers without graph evidence on a task all estimate at
-// their base accuracy, so the index keeps the active workers sorted by base
-// accuracy once and, per task, only evaluates the (few) workers with
-// evidence from the estimator's support index plus a prefix of the base
-// order.
+// Section 4.1). A worker outside a task's support (no graph evidence
+// reaches it) estimates exactly at their prior, the same on every such
+// task, so the index ranks the active workers by prior once. Per task it
+// then scores only the estimator's support plus a prefix of that ranking,
+// keeping the best k in a bounded buffer. The result equals the reference
+// TopWorkers over the same active set for any estimates.
 type Index struct {
-	est    *estimate.Estimator
-	byBase []string
-	member map[string]bool
+	est     *estimate.Estimator
+	byPrior []Candidate // active workers at their prior, in ranksBefore order
+	member  map[string]bool
 }
 
 // NewIndex builds an index over the given active workers.
 func NewIndex(e *estimate.Estimator, active []string) *Index {
-	ix := &Index{est: e, byBase: append([]string(nil), active...), member: make(map[string]bool, len(active))}
-	sort.Slice(ix.byBase, func(i, j int) bool {
-		bi, bj := e.Base(ix.byBase[i]), e.Base(ix.byBase[j])
-		if bi != bj {
-			return bi > bj
-		}
-		return ix.byBase[i] < ix.byBase[j]
-	})
-	for _, w := range ix.byBase {
+	ix := &Index{est: e, byPrior: make([]Candidate, len(active)), member: make(map[string]bool, len(active))}
+	for i, w := range active {
+		ix.byPrior[i] = Candidate{Worker: w, Accuracy: e.Prior(w)}
 		ix.member[w] = true
 	}
+	sortCandidates(ix.byPrior)
 	return ix
 }
 
 // NumActive returns the number of workers in the index.
-func (ix *Index) NumActive() int { return len(ix.byBase) }
+func (ix *Index) NumActive() int { return len(ix.byPrior) }
 
-// TopWorkers returns the top-k eligible workers for taskID. exclude reports
-// workers that must be skipped (the already-assigned set W^d(t_i)). The
-// result matches the reference TopWorkers over the same active set whenever
-// every worker's estimate is >= its shrunk floor — which holds because
-// workers with no evidence sit exactly at base and evidence can only move
-// support-listed workers.
+// TopWorkers returns the top-k active workers for taskID that exclude does
+// not reject (exclude is the already-assigned set W^d(t_i); nil excludes
+// nobody), ordered as the reference TopWorkers orders them. It sorts
+// nothing and allocates only the result: candidates are inserted into a
+// k-slot buffer, and membership and exclude are checked only for a
+// candidate that would enter it.
 func (ix *Index) TopWorkers(taskID, k int, exclude func(string) bool) []Candidate {
 	if k <= 0 {
 		return nil
 	}
-	support := ix.est.SupportWorkers(taskID)
-	inSupport := make(map[string]bool, len(support))
-	cands := make([]Candidate, 0, k+len(support))
-	for _, w := range support {
-		if !ix.member[w] || (exclude != nil && exclude(w)) {
-			continue
+	top := make([]Candidate, 0, k)
+	offer := func(c Candidate) {
+		if len(top) == k && !ranksBefore(c, top[k-1]) {
+			return
 		}
-		inSupport[w] = true
-		cands = append(cands, Candidate{Worker: w, Accuracy: ix.est.Accuracy(w, taskID)})
+		if !ix.member[c.Worker] || (exclude != nil && exclude(c.Worker)) {
+			return
+		}
+		i := len(top)
+		if i < k {
+			top = append(top, c)
+		} else {
+			i--
+		}
+		for ; i > 0 && ranksBefore(c, top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = c
 	}
-	// Take base-ordered workers until k non-support candidates collected;
-	// beyond that, no non-support worker can enter the top k because their
-	// accuracy equals their base, which only decreases down the list.
-	taken := 0
-	for _, w := range ix.byBase {
-		if taken >= k {
+	ix.est.EachSupport(taskID, func(w string, acc float64) {
+		offer(Candidate{Worker: w, Accuracy: acc})
+	})
+	// The support has been scored; everyone else sits at their prior. The
+	// ranking is sorted, so once the buffer is full the first worker who
+	// cannot enter it ends the walk.
+	for _, c := range ix.byPrior {
+		if len(top) == k && !ranksBefore(c, top[k-1]) {
 			break
 		}
-		if inSupport[w] || (exclude != nil && exclude(w)) {
-			continue
+		if !ix.est.InSupport(c.Worker, taskID) {
+			offer(c)
 		}
-		cands = append(cands, Candidate{Worker: w, Accuracy: ix.est.Accuracy(w, taskID)})
-		taken++
 	}
-	sortCandidates(cands)
-	if k < len(cands) {
-		cands = cands[:k]
-	}
-	return cands
+	return top
 }
 
-// Greedy implements Algorithm 3 with a lazy max-heap: repeatedly pick the
-// candidate assignment with the highest average worker accuracy, then drop
-// every candidate sharing a worker with it. Runs in O(|A^c| log |A^c|) and
-// produces exactly the same scheme as the paper's O(|T|^2) formulation
-// (verified against GreedyReference in tests).
+// Greedy implements Algorithm 3: repeatedly pick the candidate assignment
+// with the highest average worker accuracy, then drop every candidate
+// sharing a worker with it. Runs in O(|A^c| log |A^c|) and produces exactly
+// the scheme of the paper's O(|T|^2) formulation (verified against
+// GreedyReference in tests).
 func Greedy(cands []CandidateAssignment) []CandidateAssignment {
-	h := make(assignmentHeap, 0, len(cands))
+	ranked := make([]scoredAssignment, 0, len(cands))
 	for _, c := range cands {
-		if len(c.Workers) == 0 {
-			continue
+		if len(c.Workers) > 0 {
+			ranked = append(ranked, scoredAssignment{score: c.AvgAccuracy(), a: c})
 		}
-		h = append(h, heapItem{score: c.AvgAccuracy(), a: c})
 	}
-	heap.Init(&h)
+	return pickDisjoint(ranked)
+}
+
+type scoredAssignment struct {
+	score float64
+	a     CandidateAssignment
+}
+
+// pickDisjoint is the selection loop of Algorithm 3. A pick never changes
+// another candidate's score, so ranking the candidates once by (score desc,
+// task asc) and taking each one still disjoint from the picks so far yields
+// the same picks in the same order as repeatedly taking the best remaining.
+func pickDisjoint(ranked []scoredAssignment) []CandidateAssignment {
+	slices.SortFunc(ranked, func(x, y scoredAssignment) int {
+		if x.score != y.score {
+			if x.score > y.score {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(x.a.Task, y.a.Task) // deterministic tie-break
+	})
 	used := map[string]bool{}
 	var out []CandidateAssignment
-	for h.Len() > 0 {
-		item := heap.Pop(&h).(heapItem)
+	for _, r := range ranked {
 		conflict := false
-		for _, c := range item.a.Workers {
+		for _, c := range r.a.Workers {
 			if used[c.Worker] {
 				conflict = true
 				break
@@ -178,36 +204,12 @@ func Greedy(cands []CandidateAssignment) []CandidateAssignment {
 		if conflict {
 			continue
 		}
-		for _, c := range item.a.Workers {
+		for _, c := range r.a.Workers {
 			used[c.Worker] = true
 		}
-		out = append(out, item.a)
+		out = append(out, r.a)
 	}
 	return out
-}
-
-type heapItem struct {
-	score float64
-	a     CandidateAssignment
-}
-
-type assignmentHeap []heapItem
-
-func (h assignmentHeap) Len() int { return len(h) }
-func (h assignmentHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score > h[j].score
-	}
-	return h[i].a.Task < h[j].a.Task // deterministic tie-break
-}
-func (h assignmentHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *assignmentHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *assignmentHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
 }
 
 // GreedyReference is the paper's literal O(|T|^2) Algorithm 3, kept as the

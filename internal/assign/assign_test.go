@@ -111,6 +111,80 @@ func TestIndexMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIndexTopWorkersParity pins the bounded top-k selection of
+// Index.TopWorkers to the O(|W|) reference scan in the regime where exact
+// ties are common: 200 workers share four base accuracies, so every worker
+// without evidence on a task ties with a quarter of the crowd. Workers with
+// the same base and the same qualification outcomes tie on evidence too,
+// and a worker at base 1 who answered every qualification correctly
+// estimates exactly 1 on the tasks their evidence reaches, tying across
+// the support boundary with every base-1 worker outside it. Results must
+// agree element by element, accuracies bit for bit, and both must follow
+// the (accuracy desc, worker ID asc) order checked here independently of
+// the package's comparator.
+func TestIndexTopWorkersParity(t *testing.T) {
+	e := table1Estimator(t)
+	rng := rand.New(rand.NewSource(13))
+	bases := []float64{0.6, 0.75, 0.9, 1}
+	const n = 200
+	var active []string
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("w%03d", rng.Intn(1000)*1000+i) // IDs unrelated to base
+		e.EnsureWorker(id, bases[rng.Intn(len(bases))])
+		if rng.Float64() < 0.4 {
+			for _, tid := range []int{0, 1, 2} {
+				if rng.Float64() < 0.5 {
+					_ = e.ObserveQualification(id, tid, rng.Float64() < 0.7)
+				}
+			}
+		}
+		// Some workers with evidence are not active: the index must skip
+		// them even though the estimator lists them in the support.
+		if rng.Float64() < 0.85 {
+			active = append(active, id)
+		}
+	}
+	ix := NewIndex(e, active)
+	ranked := func(cs []Candidate) bool {
+		for i := 1; i < len(cs); i++ {
+			a, b := cs[i-1], cs[i]
+			if a.Accuracy < b.Accuracy || (a.Accuracy == b.Accuracy && a.Worker > b.Worker) {
+				return false
+			}
+		}
+		return true
+	}
+	for trial := 0; trial < 20; trial++ {
+		excluded := map[string]bool{}
+		var eligible []string
+		for _, w := range active {
+			if rng.Float64() < 0.2 {
+				excluded[w] = true
+			} else {
+				eligible = append(eligible, w)
+			}
+		}
+		excl := func(w string) bool { return excluded[w] }
+		for tid := 0; tid < e.NumTasks(); tid++ {
+			for _, k := range []int{1, 2, 3, 5, n + 1} {
+				want := TopWorkers(e, tid, k, eligible)
+				got := ix.TopWorkers(tid, k, excl)
+				if !ranked(want) {
+					t.Fatalf("trial %d task %d k %d: reference out of order: %v", trial, tid, k, want)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("trial %d task %d k %d: got %d candidates, want %d", trial, tid, k, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Worker != want[i].Worker || math.Float64bits(got[i].Accuracy) != math.Float64bits(want[i].Accuracy) {
+						t.Fatalf("trial %d task %d k %d pos %d: got %+v, want %+v", trial, tid, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func cand(taskID int, ws ...interface{}) CandidateAssignment {
 	a := CandidateAssignment{Task: taskID}
 	for i := 0; i < len(ws); i += 2 {

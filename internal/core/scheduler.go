@@ -55,19 +55,52 @@ type scheduler struct {
 	cacheEnabled bool
 	concurrency  int
 
-	cands  map[int][]assign.Candidate // task -> unfiltered top worker set
-	kPrime map[int]int                // capacity the entry was computed for
-	active map[string]bool            // active set the entries were computed over
+	entries map[int]schemeEntry // task -> cached top worker set
+	active  map[string]bool     // active set the entries were computed over
+
+	// Per-run scratch, reused because runs are serialized by
+	// ic.recomputeMu. spare is the previous run's active set, cleared and
+	// refilled as the next one; pool goroutines write only their own
+	// results slot.
+	spare   map[string]bool
+	target  []int
+	stale   []staleTask
+	results [][]assign.Candidate
+	cands   []assign.CandidateAssignment
+}
+
+// staleTask is a microtask whose top worker set must be recomputed for
+// capacity kp.
+type staleTask struct{ t, kp int }
+
+// schemeEntry is one microtask's cached Algorithm-2 Step-1 result.
+type schemeEntry struct {
+	top    []assign.Candidate // unfiltered top worker set
+	kPrime int                // capacity top was computed for
+	// floored is top after the Definition-3 MinAccuracy floor: the workers
+	// that clear it, or all of top when none does so the microtask still
+	// progresses. top is sorted by accuracy, so this is a prefix of it and
+	// costs no copy.
+	floored []assign.Candidate
+}
+
+func newSchemeEntry(top []assign.Candidate, kPrime int, minAccuracy float64) schemeEntry {
+	n := 0
+	for n < len(top) && top[n].Accuracy >= minAccuracy {
+		n++
+	}
+	floored := top
+	if n > 0 {
+		floored = top[:n]
+	}
+	return schemeEntry{top: top, kPrime: kPrime, floored: floored}
 }
 
 func newScheduler(cacheEnabled bool, concurrency int) *scheduler {
 	return &scheduler{cacheEnabled: cacheEnabled, concurrency: concurrency}
 }
 
-func (s *scheduler) invalidate(t int) {
-	delete(s.cands, t)
-	delete(s.kPrime, t)
-}
+func (s *scheduler) invalidate(t int) { delete(s.entries, t) }
 
 // schemeChunk is how many stale tasks a pool worker claims at a time.
 const schemeChunk = 8
@@ -82,23 +115,24 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 	if len(active) == 0 {
 		// Nothing to assign and nothing worth keeping: entries would have to
 		// be revalidated against an empty active set anyway.
-		s.cands, s.kPrime, s.active = map[int][]assign.Candidate{}, map[int]int{}, nil
+		s.entries, s.active = map[int]schemeEntry{}, nil
 		est.ResetDirty()
 		return map[string]int{}
 	}
 
-	activeSet := make(map[string]bool, len(active))
+	activeSet := s.spare
+	if activeSet == nil {
+		activeSet = make(map[string]bool, len(active))
+	}
+	clear(activeSet)
 	for _, w := range active {
 		activeSet[w] = true
 	}
 
-	if !s.cacheEnabled || s.cands == nil || est.DirtyAll() {
-		s.cands = map[int][]assign.Candidate{}
-		s.kPrime = map[int]int{}
+	if !s.cacheEnabled || s.entries == nil || est.DirtyAll() {
+		s.entries = map[int]schemeEntry{}
 	} else {
-		for _, t := range est.DirtyTasks() {
-			s.invalidate(t)
-		}
+		est.EachDirtyTask(s.invalidate)
 		for t := range events {
 			s.invalidate(t)
 		}
@@ -109,8 +143,8 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 			}
 		}
 		if len(removed) > 0 {
-			for t, cs := range s.cands {
-				for _, c := range cs {
+			for t, e := range s.entries {
+				for _, c := range e.top {
 					if removed[c.Worker] {
 						s.invalidate(t)
 						break
@@ -122,22 +156,20 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 			if s.active[w] {
 				continue
 			}
-			for t, cs := range s.cands {
+			for t, e := range s.entries {
 				// A joined worker enters the set when it is not full or when
 				// their accuracy reaches its minimum (>= because ties break
 				// by worker ID).
-				if len(cs) < s.kPrime[t] || est.Accuracy(w, t) >= cs[len(cs)-1].Accuracy {
+				if len(e.top) < e.kPrime || est.Accuracy(w, t) >= e.top[len(e.top)-1].Accuracy {
 					s.invalidate(t)
 				}
 			}
 		}
 	}
 	est.ResetDirty()
-	s.active = activeSet
+	s.spare, s.active = s.active, activeSet
 
-	type staleTask struct{ t, kp int }
-	var target []int
-	var stale []staleTask
+	target, stale := s.target[:0], s.stale[:0]
 	for _, t := range job.Uncompleted() {
 		kp := job.Capacity(t)
 		if kp == 0 {
@@ -145,7 +177,7 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 			continue
 		}
 		target = append(target, t)
-		if _, ok := s.cands[t]; !ok || s.kPrime[t] != kp {
+		if e, ok := s.entries[t]; !ok || e.kPrime != kp {
 			stale = append(stale, staleTask{t, kp})
 		}
 	}
@@ -153,7 +185,10 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 	ic.mStaleTasks.Set(float64(len(stale)))
 	if len(stale) > 0 {
 		ix := assign.NewIndex(est, active)
-		results := make([][]assign.Candidate, len(stale))
+		if cap(s.results) < len(stale) {
+			s.results = make([][]assign.Candidate, len(stale))
+		}
+		results := s.results[:len(stale)]
 		solve := func(k int) {
 			t := stale[k].t
 			results[k] = ix.TopWorkers(t, stale[k].kp, func(w string) bool {
@@ -191,34 +226,18 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 			wg.Wait()
 		}
 		for k, st := range stale {
-			s.cands[st.t] = results[k]
-			s.kPrime[st.t] = st.kp
+			s.entries[st.t] = newSchemeEntry(results[k], st.kp, ic.cfg.MinAccuracy)
 		}
 	}
 
-	var cands []assign.CandidateAssignment
+	s.target, s.stale = target, stale
+	cands := s.cands[:0]
 	for _, t := range target {
-		top := s.cands[t]
-		if len(top) == 0 {
-			continue
+		if top := s.entries[t].floored; len(top) > 0 {
+			cands = append(cands, assign.CandidateAssignment{Task: t, Workers: top})
 		}
-		// Definition-3 floor: drop below-floor workers from the top set;
-		// keep the unfiltered set when nobody clears the floor so the
-		// microtask still progresses. Filter into a copy — the cached slice
-		// must survive for the next run.
-		if ic.cfg.MinAccuracy > 0 {
-			filtered := make([]assign.Candidate, 0, len(top))
-			for _, c := range top {
-				if c.Accuracy >= ic.cfg.MinAccuracy {
-					filtered = append(filtered, c)
-				}
-			}
-			if len(filtered) > 0 {
-				top = filtered
-			}
-		}
-		cands = append(cands, assign.CandidateAssignment{Task: t, Workers: top})
 	}
+	s.cands = cands
 	scheme := make(map[string]int)
 	for _, a := range assign.Greedy(cands) {
 		for _, c := range a.Workers {

@@ -44,14 +44,15 @@ func TestDirtyTrackingObserve(t *testing.T) {
 	for tid := range b.Vec(0) {
 		want[tid] = true
 	}
-	got := e.DirtyTasks()
-	if len(got) != len(want) {
-		t.Fatalf("DirtyTasks = %v, want support of vec(0) (%d tasks)", got, len(want))
-	}
-	for _, tid := range got {
-		if !want[tid] {
-			t.Fatalf("task %d dirty but not in vec(0) support", tid)
+	got := map[int]bool{}
+	e.EachDirtyTask(func(tid int) {
+		if got[tid] {
+			t.Fatalf("task %d reported dirty twice", tid)
 		}
+		got[tid] = true
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dirty tasks = %v, want support of vec(0) %v", got, want)
 	}
 
 	e.ResetDirty()

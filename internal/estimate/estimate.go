@@ -48,9 +48,13 @@ type Estimator struct {
 	basis  *ppr.Basis
 	lambda float64
 	ws     map[string]*workerState
-	// support[taskID] = workers with nonzero observation mass on the task,
-	// the index behind instant top-worker computation (Section 4.1).
-	support map[int]map[string]bool
+	// support[taskID] holds one evidence entry per worker with observation
+	// mass on the task, in first-observation order: the index behind
+	// instant top-worker computation (Section 4.1), scanned in place.
+	support [][]evidence
+	// inSupport[taskID] is the same set as a bitset over worker ordinals,
+	// for membership tests that need no lookup in a worker's slot map.
+	inSupport [][]uint64
 
 	// dirtyW are workers whose observations changed since the last reset;
 	// dirtyT are the tasks on which some worker's estimate changed (the
@@ -63,10 +67,35 @@ type Estimator struct {
 }
 
 type workerState struct {
+	id       string
+	ord      int // registration order, the worker's bit in inSupport
 	base     float64
 	observed map[int]float64 // task -> q_i^w
-	num      map[int]float64 // sum_j q_j p_{t_j}(i)
-	den      map[int]float64 // sum_j p_{t_j}(i)
+	slot     map[int]int32   // task -> index of this worker's entry in support[task]
+}
+
+// evidence holds both Lemma-3 combinations one worker's observations
+// project onto one task, so an estimate costs one task lookup.
+type evidence struct {
+	w   *workerState
+	num float64 // sum_j q_j p_{t_j}(i)
+	den float64 // sum_j p_{t_j}(i)
+}
+
+// evidenceOn returns the worker's entry on taskID; the zero value (no mass)
+// when no observation reaches it.
+func (e *Estimator) evidenceOn(w *workerState, taskID int) (evidence, bool) {
+	i, ok := w.slot[taskID]
+	if !ok {
+		return evidence{}, false
+	}
+	return e.support[taskID][i], true
+}
+
+// accuracy evaluates the shrunk estimate p_i^w from the worker's evidence
+// on one task; zero evidence gives exactly the worker's prior estimate.
+func (e *Estimator) accuracy(w *workerState, num, den float64) float64 {
+	return stats.Clamp01((num + e.lambda*w.base) / (den + e.lambda))
 }
 
 // New creates an estimator over the precomputed basis. lambda <= 0 falls
@@ -76,12 +105,13 @@ func New(basis *ppr.Basis, lambda float64) *Estimator {
 		lambda = DefaultLambda
 	}
 	return &Estimator{
-		basis:   basis,
-		lambda:  lambda,
-		ws:      make(map[string]*workerState),
-		support: make(map[int]map[string]bool),
-		dirtyW:  make(map[string]bool),
-		dirtyT:  make(map[int]bool),
+		basis:     basis,
+		lambda:    lambda,
+		ws:        make(map[string]*workerState),
+		support:   make([][]evidence, basis.N()),
+		inSupport: make([][]uint64, basis.N()),
+		dirtyW:    make(map[string]bool),
+		dirtyT:    make(map[int]bool),
 	}
 }
 
@@ -95,10 +125,11 @@ func (e *Estimator) EnsureWorker(id string, base float64) bool {
 		return false
 	}
 	e.ws[id] = &workerState{
+		id:       id,
+		ord:      len(e.ws),
 		base:     stats.Clamp01(base),
 		observed: map[int]float64{},
-		num:      map[int]float64{},
-		den:      map[int]float64{},
+		slot:     map[int]int32{},
 	}
 	e.dirtyW[id] = true
 	return true
@@ -161,6 +192,10 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 	if !e.basis.SolveResult(taskID).Converged {
 		mUnconvergedReads.Inc()
 	}
+	if n := e.basis.N(); len(e.support) < n { // the basis was extended
+		e.support = append(e.support, make([][]evidence, n-len(e.support))...)
+		e.inSupport = append(e.inSupport, make([][]uint64, n-len(e.inSupport))...)
+	}
 	q = stats.Clamp01(q)
 	e.EnsureWorker(id, DefaultBase)
 	w := e.ws[id]
@@ -169,20 +204,26 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 		delta := q - old
 		if delta != 0 {
 			for t, p := range vec {
-				w.num[t] += delta * p
+				e.support[t][w.slot[t]].num += delta * p
 			}
 			e.markDirty(id, vec)
 		}
 	} else {
 		for t, p := range vec {
-			w.num[t] += q * p
-			w.den[t] += p
-			set, ok := e.support[t]
+			i, ok := w.slot[t]
 			if !ok {
-				set = map[string]bool{}
-				e.support[t] = set
+				i = int32(len(e.support[t]))
+				w.slot[t] = i
+				e.support[t] = append(e.support[t], evidence{w: w})
+				word := w.ord / 64
+				for len(e.inSupport[t]) <= word {
+					e.inSupport[t] = append(e.inSupport[t], 0)
+				}
+				e.inSupport[t][word] |= 1 << (w.ord % 64)
 			}
-			set[id] = true
+			ev := &e.support[t][i]
+			ev.num += q * p
+			ev.den += p
 		}
 		e.markDirty(id, vec)
 	}
@@ -210,16 +251,14 @@ func (e *Estimator) DirtyWorkers() []string {
 	return out
 }
 
-// DirtyTasks returns the tasks on which at least one worker's estimate
-// changed since the last ResetDirty, sorted. When DirtyAll reports true the
-// set is not exhaustive — every task must be considered stale.
-func (e *Estimator) DirtyTasks() []int {
-	out := make([]int, 0, len(e.dirtyT))
+// EachDirtyTask calls fn, in no particular order, for every task on which
+// at least one worker's estimate changed since the last ResetDirty. When
+// DirtyAll reports true the set is not exhaustive — every task must be
+// considered stale.
+func (e *Estimator) EachDirtyTask(fn func(taskID int)) {
 	for t := range e.dirtyT {
-		out = append(out, t)
+		fn(t)
 	}
-	sort.Ints(out)
-	return out
 }
 
 // DirtyAll reports whether a change invalidated every task at once (a
@@ -236,13 +275,13 @@ var (
 		"Tasks invalidated in the drained dirty feed.")
 )
 
-// ResetDirty clears the change feed; the next DirtyWorkers/DirtyTasks
-// report changes relative to this point.
+// ResetDirty clears the change feed in place; the next DirtyWorkers and
+// EachDirtyTask report changes relative to this point.
 func (e *Estimator) ResetDirty() {
 	mDirtyWorkers.Set(float64(len(e.dirtyW)))
 	mDirtyTasks.Set(float64(len(e.dirtyT)))
-	e.dirtyW = make(map[string]bool)
-	e.dirtyT = make(map[int]bool)
+	clear(e.dirtyW)
+	clear(e.dirtyT)
 	e.dirtyAll = false
 }
 
@@ -326,9 +365,42 @@ func (e *Estimator) Accuracy(id string, taskID int) float64 {
 	if !ok {
 		return DefaultBase
 	}
-	num := w.num[taskID]
-	den := w.den[taskID]
-	return stats.Clamp01((num + e.lambda*w.base) / (den + e.lambda))
+	ev, _ := e.evidenceOn(w, taskID)
+	return e.accuracy(w, ev.num, ev.den)
+}
+
+// InSupport reports whether worker id has observation mass on taskID, i.e.
+// whether any graph evidence reaches the task.
+func (e *Estimator) InSupport(id string, taskID int) bool {
+	w, ok := e.ws[id]
+	if !ok || taskID < 0 || taskID >= len(e.inSupport) {
+		return false
+	}
+	bits, word := e.inSupport[taskID], w.ord/64
+	return word < len(bits) && bits[word]&(1<<(w.ord%64)) != 0
+}
+
+// Prior returns the estimate of worker id on every task outside their
+// support: Accuracy with zero graph evidence, a non-decreasing function of
+// the base accuracy alone.
+func (e *Estimator) Prior(id string) float64 {
+	w, ok := e.ws[id]
+	if !ok {
+		return DefaultBase
+	}
+	return e.accuracy(w, 0, 0)
+}
+
+// EachSupport calls fn with every worker that has observation mass on
+// taskID and their Accuracy there, in no particular order. It reads the
+// support index in place: no copy, no sort, no lookup by worker ID.
+func (e *Estimator) EachSupport(taskID int, fn func(id string, acc float64)) {
+	if taskID < 0 || taskID >= len(e.support) {
+		return
+	}
+	for _, ev := range e.support[taskID] {
+		fn(ev.w.id, e.accuracy(ev.w, ev.num, ev.den))
+	}
 }
 
 // Mass returns the total observation mass sum_j p_{t_j}(taskID) that worker
@@ -336,7 +408,8 @@ func (e *Estimator) Accuracy(id string, taskID int) float64 {
 // behind the estimate.
 func (e *Estimator) Mass(id string, taskID int) float64 {
 	if w, ok := e.ws[id]; ok {
-		return w.den[taskID]
+		ev, _ := e.evidenceOn(w, taskID)
+		return ev.den
 	}
 	return 0
 }
@@ -353,8 +426,9 @@ func (e *Estimator) EffectiveCounts(id string, taskID int) (n1, n0 float64) {
 	}
 	o := e.basis.Options()
 	restart := o.Alpha / (1 + o.Alpha)
-	num := w.num[taskID] / restart
-	den := w.den[taskID] / restart
+	ev, _ := e.evidenceOn(w, taskID)
+	num := ev.num / restart
+	den := ev.den / restart
 	if num < 0 {
 		num = 0
 	}
@@ -392,19 +466,6 @@ func (e *Estimator) HasObserved(id string, taskID int) bool {
 	}
 	_, ok = w.observed[taskID]
 	return ok
-}
-
-// SupportWorkers returns the workers with nonzero observation mass on
-// taskID, sorted — the candidate set the top-worker index consults before
-// falling back to base-accuracy order.
-func (e *Estimator) SupportWorkers(taskID int) []string {
-	set := e.support[taskID]
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // BasisResult exposes how the basis solve for taskID terminated, so

@@ -235,12 +235,39 @@ func TestMassAndSupport(t *testing.T) {
 	if e.Mass("ghost", 0) != 0 {
 		t.Fatal("unknown worker should have zero mass")
 	}
-	sup := e.SupportWorkers(3)
-	if len(sup) != 1 || sup[0] != "a" {
-		t.Fatalf("SupportWorkers(3) = %v", sup)
+	support := func(tid int) map[string]float64 {
+		out := map[string]float64{}
+		e.EachSupport(tid, func(id string, acc float64) { out[id] = acc })
+		return out
 	}
-	if got := e.SupportWorkers(10); len(got) != 0 {
-		t.Fatalf("SupportWorkers(10) = %v, want empty (t11 is isolated)", got)
+	if sup := support(3); len(sup) != 1 || sup["a"] != e.Accuracy("a", 3) {
+		t.Fatalf("support of t4 = %v, want only a at Accuracy(a, 3)", sup)
+	}
+	if sup := support(10); len(sup) != 0 {
+		t.Fatalf("support of t11 = %v, want empty (t11 is isolated)", sup)
+	}
+	// Outside the support a worker estimates exactly at their prior.
+	for _, c := range []struct {
+		id        string
+		tid       int
+		supported bool
+	}{{"a", 3, true}, {"a", 10, false}, {"b", 3, false}, {"ghost", 3, false}} {
+		if got := e.InSupport(c.id, c.tid); got != c.supported {
+			t.Fatalf("InSupport(%s, %d) = %v, want %v", c.id, c.tid, got, c.supported)
+		}
+		if !c.supported && e.Accuracy(c.id, c.tid) != e.Prior(c.id) {
+			t.Fatalf("Accuracy(%s, %d) = %v, want Prior %v", c.id, c.tid, e.Accuracy(c.id, c.tid), e.Prior(c.id))
+		}
+	}
+	// Re-observing the same task changes the estimate but never lists a
+	// worker twice.
+	if err := e.Observe("a", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	e.EachSupport(3, func(string, float64) { n++ })
+	if n != 1 {
+		t.Fatalf("support of t4 lists %d entries after a re-observe, want 1", n)
 	}
 }
 

@@ -120,13 +120,21 @@ func qualified(b *testing.B, ds *task.Dataset, basis *ppr.Basis, cfg core.Config
 	return ic
 }
 
+// SchemeCrowd is the crowd size of the concurrency=N ComputeScheme rows.
+const SchemeCrowd = 24
+
+// AdaptiveCrowd is the crowd size the serving benchmark's adaptive workload
+// runs (icbench): at this size a task's support holds up to the whole crowd,
+// far more than its top set.
+const AdaptiveCrowd = 200
+
 // ComputeScheme returns the BenchmarkComputeScheme body: each iteration
 // submits one answer (dirtying the submitting worker's top-set entries)
 // and requests the next microtask, which forces the incremental scheme
 // recomputation — the dominant cost of a mid-job adaptive round. The
 // concurrency knob is core.Config.Concurrency; 1 forces the sequential
-// recompute path.
-func ComputeScheme(concurrency int) func(*testing.B) {
+// recompute path. crowd is the number of qualified workers taking turns.
+func ComputeScheme(concurrency, crowd int) func(*testing.B) {
 	return func(b *testing.B) {
 		ds, g, err := Graph()
 		if err != nil {
@@ -138,7 +146,7 @@ func ComputeScheme(concurrency int) func(*testing.B) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Concurrency = concurrency
-		ids := pool(24)
+		ids := pool(crowd)
 		ic := qualified(b, ds, basis, cfg, ids)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
