@@ -124,6 +124,7 @@ func main() {
 			run("BenchmarkComputeScheme/concurrency=1", hotbench.ComputeScheme(1, hotbench.SchemeCrowd)),
 			run(fmt.Sprintf("BenchmarkComputeScheme/concurrency=%d", pw), hotbench.ComputeScheme(pw, hotbench.SchemeCrowd)),
 			run(fmt.Sprintf("BenchmarkComputeScheme/crowd=%d", hotbench.AdaptiveCrowd), hotbench.ComputeScheme(1, hotbench.AdaptiveCrowd)),
+			run(fmt.Sprintf("BenchmarkPerformanceTest/crowd=%d", hotbench.AdaptiveCrowd), hotbench.PerformanceTest(hotbench.AdaptiveCrowd)),
 			assignOn,
 			assignOff,
 		},

@@ -41,6 +41,13 @@ func BenchmarkComputeScheme(b *testing.B) {
 	b.Run(fmt.Sprintf("crowd=%d", hotbench.AdaptiveCrowd), hotbench.ComputeScheme(1, hotbench.AdaptiveCrowd))
 }
 
+// BenchmarkPerformanceTest measures Step 3 of Algorithm 2: a worker the
+// scheme left out requests and gets a test microtask, scored over every
+// completed task, in the serving benchmark's 200-worker crowd.
+func BenchmarkPerformanceTest(b *testing.B) {
+	b.Run(fmt.Sprintf("crowd=%d", hotbench.AdaptiveCrowd), hotbench.PerformanceTest(hotbench.AdaptiveCrowd))
+}
+
 // BenchmarkAssignThroughput measures the /assign fast path: concurrent
 // idempotent redelivery reads served under the framework's read lock. The
 // metrics=off variant disables the observability layer to expose its

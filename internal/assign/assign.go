@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sort"
 
+	"icrowd/internal/bitset"
 	"icrowd/internal/estimate"
 )
 
@@ -19,6 +20,10 @@ import (
 type Candidate struct {
 	// Worker identifies the worker.
 	Worker string
+	// Ord is the worker's ordinal in the estimator that scored them
+	// (estimate.Estimator.Ordinal; -1 when unregistered). TopWorkers and
+	// Index.TopWorkers fill it; hand-built candidates may leave it zero.
+	Ord int
 	// Accuracy is the estimated p_i^w.
 	Accuracy float64
 }
@@ -61,7 +66,8 @@ func TopWorkers(e *estimate.Estimator, taskID, k int, eligible []string) []Candi
 	}
 	cands := make([]Candidate, 0, len(eligible))
 	for _, w := range eligible {
-		cands = append(cands, Candidate{Worker: w, Accuracy: e.Accuracy(w, taskID)})
+		ord := e.Ordinal(w)
+		cands = append(cands, Candidate{Worker: w, Ord: ord, Accuracy: e.AccuracyAt(ord, taskID)})
 	}
 	sortCandidates(cands)
 	if k < len(cands) {
@@ -89,20 +95,27 @@ func ranksBefore(a, b Candidate) bool {
 // reaches it) estimates exactly at their prior, the same on every such
 // task, so the index ranks the active workers by prior once. Per task it
 // then scores only the estimator's support plus a prefix of that ranking,
-// keeping the best k in a bounded buffer. The result equals the reference
-// TopWorkers over the same active set for any estimates.
+// keeping the best k in a bounded buffer. Worker identity on that path is
+// the estimator's ordinal: active membership of a support entry and
+// support membership of a ranked worker are bit tests, with no lookup by
+// worker ID. The result equals the reference TopWorkers over the same
+// active set for any estimates.
 type Index struct {
 	est     *estimate.Estimator
 	byPrior []Candidate // active workers at their prior, in ranksBefore order
-	member  map[string]bool
+	member  bitset.Set  // ordinals of the registered active workers
 }
 
-// NewIndex builds an index over the given active workers.
+// NewIndex builds an index over the given active workers. The order of
+// active does not matter: the ranking is the total order ranksBefore.
 func NewIndex(e *estimate.Estimator, active []string) *Index {
-	ix := &Index{est: e, byPrior: make([]Candidate, len(active)), member: make(map[string]bool, len(active))}
+	ix := &Index{est: e, byPrior: make([]Candidate, len(active))}
 	for i, w := range active {
-		ix.byPrior[i] = Candidate{Worker: w, Accuracy: e.Prior(w)}
-		ix.member[w] = true
+		ord := e.Ordinal(w)
+		ix.byPrior[i] = Candidate{Worker: w, Ord: ord, Accuracy: e.PriorAt(ord)}
+		if ord >= 0 { // an unregistered worker has no support to be found in
+			ix.member.Add(ord)
+		}
 	}
 	sortCandidates(ix.byPrior)
 	return ix
@@ -115,8 +128,8 @@ func (ix *Index) NumActive() int { return len(ix.byPrior) }
 // not reject (exclude is the already-assigned set W^d(t_i); nil excludes
 // nobody), ordered as the reference TopWorkers orders them. It sorts
 // nothing and allocates only the result: candidates are inserted into a
-// k-slot buffer, and membership and exclude are checked only for a
-// candidate that would enter it.
+// k-slot buffer, and exclude is checked only for a candidate that would
+// enter it.
 func (ix *Index) TopWorkers(taskID, k int, exclude func(string) bool) []Candidate {
 	if k <= 0 {
 		return nil
@@ -126,7 +139,7 @@ func (ix *Index) TopWorkers(taskID, k int, exclude func(string) bool) []Candidat
 		if len(top) == k && !ranksBefore(c, top[k-1]) {
 			return
 		}
-		if !ix.member[c.Worker] || (exclude != nil && exclude(c.Worker)) {
+		if exclude != nil && exclude(c.Worker) {
 			return
 		}
 		i := len(top)
@@ -140,8 +153,10 @@ func (ix *Index) TopWorkers(taskID, k int, exclude func(string) bool) []Candidat
 		}
 		top[i] = c
 	}
-	ix.est.EachSupport(taskID, func(w string, acc float64) {
-		offer(Candidate{Worker: w, Accuracy: acc})
+	ix.est.EachSupport(taskID, func(ord int, id string, acc float64) {
+		if ix.member.Has(ord) {
+			offer(Candidate{Worker: id, Ord: ord, Accuracy: acc})
+		}
 	})
 	// The support has been scored; everyone else sits at their prior. The
 	// ranking is sorted, so once the buffer is full the first worker who
@@ -150,7 +165,7 @@ func (ix *Index) TopWorkers(taskID, k int, exclude func(string) bool) []Candidat
 		if len(top) == k && !ranksBefore(c, top[k-1]) {
 			break
 		}
-		if !ix.est.InSupport(c.Worker, taskID) {
+		if !ix.est.InSupportAt(c.Ord, taskID) {
 			offer(c)
 		}
 	}
@@ -374,40 +389,39 @@ func OptimalEnumerate(cands []CandidateAssignment) float64 {
 	return rec(0, map[string]bool{})
 }
 
-// TestTask describes a microtask eligible for a Step-3 performance test.
-type TestTask struct {
-	// Task is the microtask ID.
-	Task int
-	// AssignedAccuracies are the estimated accuracies of the workers
-	// already assigned to the task (W^d).
-	AssignedAccuracies []float64
-}
-
-// PerformanceTest selects the Step-3 test microtask for a worker left
-// without an assignment: it maximizes
+// TestPick is the Step-3 worker performance test: it selects the test
+// microtask for a worker left without an assignment, taking candidate
+// microtasks one at a time so a caller can score them as it finds them.
+// It maximizes
 //
 //	uncertainty(w, t) * quality(W^d(t)),
 //
 // preferring tasks whose region the estimator knows least about for this
 // worker (Beta-distribution variance over effective counts) and whose
-// existing worker set is accurate enough to make the test reliable.
-// Returns (-1, false) when eligible is empty.
-func PerformanceTest(e *estimate.Estimator, worker string, eligible []TestTask) (int, bool) {
-	bestTask, bestScore := -1, math.Inf(-1)
-	for _, tt := range eligible {
-		quality := 0.5
-		if len(tt.AssignedAccuracies) > 0 {
-			var s float64
-			for _, a := range tt.AssignedAccuracies {
-				s += a
-			}
-			quality = s / float64(len(tt.AssignedAccuracies))
-		}
-		score := e.Uncertainty(worker, tt.Task) * quality
-		if score > bestScore || (score == bestScore && tt.Task < bestTask) {
-			bestScore = score
-			bestTask = tt.Task
-		}
-	}
-	return bestTask, bestTask >= 0
+// existing worker set is accurate enough to make the test reliable. Ties
+// go to the smaller task ID.
+type TestPick struct {
+	task  int
+	score float64
 }
+
+// NewTestPick returns a selection with no candidate yet.
+func NewTestPick() TestPick { return TestPick{task: -1, score: math.Inf(-1)} }
+
+// Offer scores task t. uncertainty is the worker's Uncertainty on t;
+// accSum is the sum, in assignment order, of the estimated accuracies of
+// the n workers already assigned to t. quality is their mean, 0.5 when
+// n is 0.
+func (p *TestPick) Offer(t int, uncertainty, accSum float64, n int) {
+	quality := 0.5
+	if n > 0 {
+		quality = accSum / float64(n)
+	}
+	score := uncertainty * quality
+	if score > p.score || (score == p.score && t < p.task) {
+		p.score, p.task = score, t
+	}
+}
+
+// Best returns the selected task; ok is false when nothing was offered.
+func (p TestPick) Best() (task int, ok bool) { return p.task, p.task >= 0 }

@@ -422,29 +422,44 @@ func TestPerformanceTest(t *testing.T) {
 	// there. The iPod task (t8 = ID 7) is unexplored: high uncertainty.
 	_ = e.ObserveQualification("w", 0, true)
 	_ = e.ObserveQualification("w", 5, true)
-	eligible := []TestTask{
-		{Task: 3, AssignedAccuracies: []float64{0.8, 0.8}}, // iPhone, known region
-		{Task: 7, AssignedAccuracies: []float64{0.8, 0.8}}, // iPod, unknown region
+	type testCand struct {
+		task int
+		accs []float64 // accuracies of the workers already assigned
 	}
-	got, ok := PerformanceTest(e, "w", eligible)
+	pick := func(cands ...testCand) (int, bool) {
+		p := NewTestPick()
+		for _, c := range cands {
+			var sum float64
+			for _, a := range c.accs {
+				sum += a
+			}
+			p.Offer(c.task, e.Uncertainty("w", c.task), sum, len(c.accs))
+		}
+		return p.Best()
+	}
+	got, ok := pick(
+		testCand{3, []float64{0.8, 0.8}}, // iPhone, known region
+		testCand{7, []float64{0.8, 0.8}}, // iPod, unknown region
+	)
 	if !ok || got != 7 {
-		t.Fatalf("PerformanceTest = %d %v, want 7", got, ok)
+		t.Fatalf("pick = %d %v, want 7", got, ok)
 	}
 	// Quality of the existing worker set matters: same uncertainty, higher
 	// quality wins.
-	eligible = []TestTask{
-		{Task: 7, AssignedAccuracies: []float64{0.55}},
-		{Task: 8, AssignedAccuracies: []float64{0.95}},
-	}
-	got, ok = PerformanceTest(e, "w", eligible)
+	got, ok = pick(testCand{7, []float64{0.55}}, testCand{8, []float64{0.95}})
 	if !ok || got != 8 {
-		t.Fatalf("PerformanceTest quality tie-break = %d, want 8", got)
+		t.Fatalf("pick quality tie-break = %d, want 8", got)
 	}
-	if _, ok := PerformanceTest(e, "w", nil); ok {
-		t.Fatal("empty eligible set should report not ok")
+	// Equal scores go to the smaller task ID, whatever the offer order.
+	got, ok = pick(testCand{9, nil}, testCand{8, []float64{0.5}})
+	if !ok || got != 8 {
+		t.Fatalf("pick score tie = %d, want 8", got)
+	}
+	if _, ok := pick(); ok {
+		t.Fatal("empty candidate set should report not ok")
 	}
 	// Tasks with no assigned workers still get the fallback quality.
-	got, ok = PerformanceTest(e, "w", []TestTask{{Task: 9}})
+	got, ok = pick(testCand{9, nil})
 	if !ok || got != 9 {
 		t.Fatalf("fallback = %d %v", got, ok)
 	}

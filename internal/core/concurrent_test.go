@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -85,6 +87,156 @@ func TestSchemeCacheParity(t *testing.T) {
 			cached, fresh := parityBasis(t, tc.ds)
 			runSchemeParity(t, tc.ds, cached, fresh, parityWorkers(tc.workers), tc.maxSteps)
 		})
+	}
+	t.Run("rejoin-at-minimum-tie", testRejoinTieParity)
+	t.Run("active-set-churn", testActiveChurnParity)
+}
+
+// testActiveChurnParity pins the scheduler's active-set rules on their own:
+// between two runs only the set of active workers changes, so only the
+// removed-worker and joined-worker rules can make a cached set stale. The
+// crowd passes qualification at three levels with identical answers within
+// a level, so workers of a level estimate identically everywhere and exact
+// ties at a set's minimum are the rule. Each run's scheme over a random
+// active subset must equal that of a scheduler recomputing every set.
+func testActiveChurnParity(t *testing.T) {
+	ds := task.GenerateYahooQA(3)
+	basis, err := BuildBasis(ds, DefaultBasisConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, err := New(ds, basis, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range parityWorkers(30) {
+		for q := range ic.QualificationTasks() {
+			tid, ok := ic.RequestTask(w)
+			if !ok {
+				t.Fatalf("%s got no qualification microtask", w)
+			}
+			ans := ds.Tasks[tid].Truth
+			if q < i%3 {
+				ans = ans.Flip()
+			}
+			if err := ic.SubmitAnswer(w, tid, ans); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cached, fresh := newScheduler(true, 1), newScheduler(false, 1)
+	rng := rand.New(rand.NewSource(5))
+	for run := 0; run < 300; run++ {
+		var active []*workerInfo
+		for _, info := range ic.order {
+			if rng.Intn(3) > 0 {
+				active = append(active, info)
+			}
+		}
+		ic.mu.RLock()
+		got := cached.compute(ic, active)
+		want := fresh.compute(ic, active)
+		ic.mu.RUnlock()
+		if !maps.Equal(got, want) {
+			t.Fatalf("run %d over %d workers: cached scheme %v != fresh %v", run, len(active), got, want)
+		}
+	}
+}
+
+// isolatedDataset has n microtasks that share no token, so the similarity
+// graph has no edge and an observation moves a worker's estimate on the
+// observed microtask alone: everywhere else each worker sits at their prior.
+func isolatedDataset(n int) *task.Dataset {
+	ds := &task.Dataset{Name: "isolated", Domains: []string{"d"}}
+	for i := 0; i < n; i++ {
+		tok := fmt.Sprintf("tok%d", i)
+		ds.Tasks = append(ds.Tasks, task.Task{ID: i, Domain: "d", Text: tok, Tokens: []string{tok}, Truth: task.Yes})
+	}
+	return ds
+}
+
+// testRejoinTieParity pins the joined-worker rule of the scheduler at an
+// exact tie. Workers a and b pass qualification with the same base, so
+// they estimate identically on every microtask neither has answered; c
+// passes with a lower base. With k = 1 every top worker set is one worker.
+//
+//  1. a takes the first open microtask (t0) from a scheme over {a, b}.
+//  2. c finishes qualification. c's request runs the scheme over {b, c}:
+//     every cached set is {b}, and c is sent to Step 3, whose fallback
+//     hands them t0 (no completed microtask to test with yet).
+//  3. a answers t0, which moves a's estimate on t0 only.
+//  4. b's request runs the scheme over {a, b}: a rejoins the active set at
+//     exactly the minimum accuracy of every cached set {b}, and a's ID is
+//     the smaller, so every set must become {a}. A cache that kept {b}
+//     would give b t1 instead of sending b to a Step-3 test on t0.
+func testRejoinTieParity(t *testing.T) {
+	ds := isolatedDataset(8)
+	basis, err := BuildBasis(ds, DefaultBasisConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.K = 1
+	qual := []int{4, 5, 6, 7}
+	cached, err := New(ds, basis, cfg, WithQualification(qual))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(ds, basis, cfg, WithQualification(qual), WithSchemeCache(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	request := func(w string) (int, bool) {
+		t.Helper()
+		ct, cok := cached.RequestTask(w)
+		ft, fok := fresh.RequestTask(w)
+		if ct != ft || cok != fok {
+			t.Fatalf("request by %s: cached (%d,%v) != fresh (%d,%v)", w, ct, cok, ft, fok)
+		}
+		return ct, cok
+	}
+	submit := func(w string, tid int, ans task.Answer) {
+		t.Helper()
+		for _, ic := range []*ICrowd{cached, fresh} {
+			if err := ic.SubmitAnswer(w, tid, ans); err != nil {
+				t.Fatalf("submit by %s on %d: %v", w, tid, err)
+			}
+		}
+	}
+	qualifyAll := func(w string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			tid, ok := request(w)
+			if !ok {
+				t.Fatalf("%s got no qualification microtask", w)
+			}
+			ans := task.Yes
+			if w == "c" && i == 0 {
+				ans = task.No // c passes at 3/4, below a and b
+			}
+			submit(w, tid, ans)
+		}
+	}
+	qualifyAll("a", len(qual))
+	qualifyAll("b", len(qual))
+	qualifyAll("c", len(qual)-1)
+	if tid, ok := request("a"); !ok || tid != 0 {
+		t.Fatalf("a got (%d,%v), want t0", tid, ok)
+	}
+	tid, ok := request("c")
+	if !ok {
+		t.Fatal("c got no last qualification microtask")
+	}
+	submit("c", tid, task.Yes)
+	if tid, ok := request("c"); !ok || tid != 0 {
+		t.Fatalf("c got (%d,%v), want the Step-3 fallback t0", tid, ok)
+	}
+	submit("a", 0, task.Yes)
+	if !cached.Job().Touched("c", 0) {
+		t.Fatal("c should still hold t0")
+	}
+	if tid, ok := request("b"); !ok || tid != 0 || !cached.Job().PendingTest("b", 0) {
+		t.Fatalf("b got (%d,%v), want a Step-3 test on t0", tid, ok)
 	}
 }
 

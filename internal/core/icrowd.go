@@ -3,12 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"icrowd/internal/aggregate"
 	"icrowd/internal/assign"
+	"icrowd/internal/bitset"
 	"icrowd/internal/estimate"
 	"icrowd/internal/obsv"
 	"icrowd/internal/ppr"
@@ -46,19 +47,24 @@ const (
 // Lock order: recomputeMu, then workerInfo.mu, then ic.mu, then schemeMu;
 // wmu and the event log are leaves never held across another acquisition.
 type ICrowd struct {
-	cfg  Config
-	ds   *task.Dataset
-	job  *Job
-	est  *estimate.Estimator
-	warm *qualify.WarmUp
+	cfg    Config
+	ds     *task.Dataset
+	job    *Job
+	est    *estimate.Estimator
+	warm   *qualify.WarmUp
+	qual   []int      // qualification microtasks, in serving order
+	isQual bitset.Set // the same set over task IDs
 
 	// basis/lazyGraph back lazy-basis mode (WithLazyBasis): lazyGraph non-nil
 	// means basis vectors are solved on first observation, under ic.mu.
 	basis     *ppr.Basis
 	lazyGraph *simgraph.Graph
 
-	wmu     sync.Mutex // guards the workers map (not the infos)
+	wmu     sync.Mutex // guards the workers map and list (not the infos)
 	workers map[string]*workerInfo
+	// order lists every worker in registration order. It is append-only,
+	// so a copy of its header taken under wmu stays a valid snapshot.
+	order []*workerInfo
 
 	mu sync.RWMutex // guards job and est
 
@@ -69,6 +75,7 @@ type ICrowd struct {
 	recomputeMu sync.Mutex // serializes scheme recomputation
 	events      eventLog
 	sched       *scheduler
+	active      []*workerInfo // recomputeScheme scratch, under recomputeMu
 
 	// Hot-path instruments (nil when metrics are disabled via
 	// WithMetrics(nil); every method on a nil instrument no-ops).
@@ -83,6 +90,11 @@ type ICrowd struct {
 }
 
 type workerInfo struct {
+	id string
+	// ord is the worker's estimator ordinal. It is written before qualified
+	// is set and read only after qualified is seen set.
+	ord int
+
 	mu          sync.Mutex // guards the warm-up fields below
 	qualIdx     int
 	pendingQual int // qualification task currently held, -1 none
@@ -160,6 +172,7 @@ func New(ds *task.Dataset, basis *ppr.Basis, cfg Config, opts ...Option) (*ICrow
 		job:       job,
 		est:       estimate.New(basis, cfg.Lambda),
 		warm:      warm,
+		qual:      warm.Tasks(),
 		basis:     basis,
 		lazyGraph: no.lazyGraph,
 		workers:   map[string]*workerInfo{},
@@ -188,6 +201,7 @@ func New(ds *task.Dataset, basis *ppr.Basis, cfg Config, opts ...Option) (*ICrow
 	// treats them as globally completed from the start.
 	for _, t := range qual {
 		job.ForceComplete(t, ds.Tasks[t].Truth)
+		ic.isQual.Add(t)
 	}
 	return ic, nil
 }
@@ -213,7 +227,7 @@ func (ic *ICrowd) Job() *Job { return ic.job }
 func (ic *ICrowd) Estimator() *estimate.Estimator { return ic.est }
 
 // QualificationTasks returns the selected qualification microtask IDs.
-func (ic *ICrowd) QualificationTasks() []int { return ic.warm.Tasks() }
+func (ic *ICrowd) QualificationTasks() []int { return append([]int(nil), ic.qual...) }
 
 // Rejected reports whether the warm-up rejected the worker.
 func (ic *ICrowd) Rejected(worker string) bool {
@@ -228,8 +242,9 @@ func (ic *ICrowd) worker(id string, create bool) (*workerInfo, bool) {
 	defer ic.wmu.Unlock()
 	info, ok := ic.workers[id]
 	if !ok && create {
-		info = &workerInfo{pendingQual: -1, qualAnswers: map[int]task.Answer{}}
+		info = &workerInfo{id: id, ord: -1, pendingQual: -1, qualAnswers: map[int]task.Answer{}}
 		ic.workers[id] = info
+		ic.order = append(ic.order, info)
 	}
 	return info, ok
 }
@@ -284,7 +299,7 @@ func (ic *ICrowd) requestTask(worker string) (int, bool) {
 		return pending, true // idempotent re-request of the held task
 	}
 	if ic.cfg.Mode == ModeBestEffort {
-		return ic.requestBestEffort(worker, info)
+		return ic.requestBestEffort(worker)
 	}
 	if ic.schemeDirty.Load() {
 		ic.recomputeScheme()
@@ -302,13 +317,13 @@ func (ic *ICrowd) requestTask(worker string) (int, bool) {
 		ic.mu.Unlock()
 	}
 	// Step 3: performance testing for workers the scheme left out.
-	return ic.performanceTest(worker, info)
+	return ic.performanceTest(worker)
 }
 
 // serveQualification hands out the worker's next qualification microtask.
 // served is false once the warm-up phase is over.
 func (ic *ICrowd) serveQualification(info *workerInfo) (taskID int, ok, served bool) {
-	qual := ic.warm.Tasks()
+	qual := ic.qual
 	info.mu.Lock()
 	defer info.mu.Unlock()
 	if info.qualIdx >= len(qual) {
@@ -347,25 +362,24 @@ func (ic *ICrowd) recomputeScheme() {
 	}
 
 	ic.wmu.Lock()
-	snapshot := make(map[string]*workerInfo, len(ic.workers))
-	for id, info := range ic.workers {
-		snapshot[id] = info
-	}
+	all := ic.order
 	ic.wmu.Unlock()
 
+	// Registration order is as good as any: the scheduler's result does not
+	// depend on the order of the active workers.
 	ic.mu.RLock()
-	var active []string
-	for id, info := range snapshot {
+	active := ic.active[:0]
+	for _, info := range all {
 		if !info.qualified.Load() || info.rejected.Load() {
 			continue
 		}
-		if _, busy := ic.job.Pending(id); busy {
+		if _, busy := ic.job.Pending(info.id); busy {
 			continue
 		}
-		active = append(active, id)
+		active = append(active, info)
 	}
-	sort.Strings(active)
-	scheme := ic.sched.compute(ic, active, ic.events.drain())
+	ic.active = active
+	scheme := ic.sched.compute(ic, active)
 	ic.mu.RUnlock()
 
 	ic.schemeMu.Lock()
@@ -404,7 +418,7 @@ func (ic *ICrowd) eligible(worker string, taskID int) bool {
 
 // requestBestEffort assigns the microtask with the worker's own highest
 // estimated accuracy (the BestEffort ablation of Section 6.3.2).
-func (ic *ICrowd) requestBestEffort(worker string, info *workerInfo) (int, bool) {
+func (ic *ICrowd) requestBestEffort(worker string) (int, bool) {
 	ic.mu.Lock()
 	best, bestAcc := -1, -1.0
 	for _, t := range ic.job.Uncompleted() {
@@ -427,7 +441,7 @@ func (ic *ICrowd) requestBestEffort(worker string, info *workerInfo) (int, bool)
 		return best, true
 	}
 	ic.mu.Unlock()
-	return ic.performanceTest(worker, info)
+	return ic.performanceTest(worker)
 }
 
 // performanceTest implements Step 3 of Section 4.1: a worker the scheme
@@ -435,34 +449,23 @@ func (ic *ICrowd) requestBestEffort(worker string, info *workerInfo) (int, bool)
 // preferred targets — their consensus grades the answer immediately and the
 // extra vote never perturbs the k-vote consensus. If none is eligible the
 // framework falls back to a regular assignment so the job cannot stall.
-func (ic *ICrowd) performanceTest(worker string, info *workerInfo) (int, bool) {
-	info.mu.Lock()
-	wasQual := make(map[int]bool, len(info.qualAnswers))
-	for t := range info.qualAnswers {
-		wasQual[t] = true
-	}
-	info.mu.Unlock()
-
+//
+// Qualification microtasks are completed from the start but never test
+// targets: a worker reaches Step 3 only after answering all of them.
+func (ic *ICrowd) performanceTest(worker string) (int, bool) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
-	var eligible []assign.TestTask
-	for t := 0; t < ic.ds.Len(); t++ {
-		if _, done := ic.job.Completed(t); !done {
+	ord := ic.est.Ordinal(worker)
+	pick := assign.NewTestPick()
+	for t := range ic.job.tasks {
+		s := &ic.job.tasks[t]
+		if !s.done || ic.isQual.Has(t) || s.touched(worker) || !ic.eligible(worker, t) {
 			continue
 		}
-		if ic.job.Touched(worker, t) || !ic.eligible(worker, t) {
-			continue
-		}
-		if wasQual[t] {
-			continue
-		}
-		var accs []float64
-		for _, v := range ic.job.Votes(t) {
-			accs = append(accs, ic.est.Accuracy(v.Worker, t))
-		}
-		eligible = append(eligible, assign.TestTask{Task: t, AssignedAccuracies: accs})
+		sum := ic.sumAccuracy(s.votes, nil, t)
+		pick.Offer(t, ic.est.UncertaintyAt(ord, t), sum, len(s.votes))
 	}
-	if t, ok := assign.PerformanceTest(ic.est, worker, eligible); ok {
+	if t, ok := pick.Best(); ok {
 		if err := ic.job.AssignTest(worker, t); err == nil {
 			ic.events.note(t)
 			return t, true
@@ -470,21 +473,16 @@ func (ic *ICrowd) performanceTest(worker string, info *workerInfo) (int, bool) {
 	}
 	// Fallback: no completed microtask to test with — hand out a regular
 	// assignment on an uncompleted microtask instead.
-	eligible = eligible[:0]
-	for _, t := range ic.job.Uncompleted() {
-		if ic.job.Touched(worker, t) || !ic.eligible(worker, t) {
+	pick = assign.NewTestPick()
+	for t := range ic.job.tasks {
+		s := &ic.job.tasks[t]
+		if s.done || s.touched(worker) || !ic.eligible(worker, t) {
 			continue
 		}
-		var accs []float64
-		for _, v := range ic.job.Votes(t) {
-			accs = append(accs, ic.est.Accuracy(v.Worker, t))
-		}
-		for _, w := range ic.job.PendingWorkers(t) {
-			accs = append(accs, ic.est.Accuracy(w, t))
-		}
-		eligible = append(eligible, assign.TestTask{Task: t, AssignedAccuracies: accs})
+		sum := ic.sumAccuracy(s.votes, s.holders, t)
+		pick.Offer(t, ic.est.UncertaintyAt(ord, t), sum, len(s.votes)+len(s.holders))
 	}
-	t, ok := assign.PerformanceTest(ic.est, worker, eligible)
+	t, ok := pick.Best()
 	if !ok {
 		return 0, false
 	}
@@ -493,6 +491,19 @@ func (ic *ICrowd) performanceTest(worker string, info *workerInfo) (int, bool) {
 	}
 	ic.events.note(t)
 	return t, true
+}
+
+// sumAccuracy adds up the estimated accuracies on taskID of the voters,
+// then of the holders, in that order. Caller holds ic.mu.
+func (ic *ICrowd) sumAccuracy(votes []aggregate.Vote, holders []string, taskID int) float64 {
+	var sum float64
+	for _, v := range votes {
+		sum += ic.est.Accuracy(v.Worker, taskID)
+	}
+	for _, w := range holders {
+		sum += ic.est.Accuracy(w, taskID)
+	}
+	return sum
 }
 
 // SubmitAnswer implements Strategy. Qualification answers are graded
@@ -607,10 +618,11 @@ func (ic *ICrowd) submitQualification(worker string, info *workerInfo, taskID in
 	if err := ic.est.ObserveQualification(worker, taskID, correct); err != nil {
 		return err
 	}
-	if info.qualIdx >= len(ic.warm.Tasks()) {
+	if info.qualIdx >= len(ic.qual) {
 		avg, pass := ic.warm.Evaluate(info.qualAnswers)
 		ic.est.SetBase(worker, avg)
 		if pass {
+			info.ord = ic.est.Ordinal(worker)
 			info.qualified.Store(true)
 		} else {
 			info.rejected.Store(true)

@@ -9,7 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"icrowd/internal/aggregate"
 	"icrowd/internal/task"
@@ -45,23 +45,42 @@ var ErrBusy = errors.New("core: worker already holds an assignment")
 
 // Job tracks the shared crowdsourcing state: who is assigned what, the votes
 // per microtask, and which tasks reached consensus. All strategies reuse it.
+//
+// The state is dense, one slot per microtask in a task-indexed slice: the
+// votes, the workers holding a regular assignment, the workers it was
+// test-assigned to, and the consensus. Those worker lists are short — at
+// most k voters and holders plus the Step-3 testers — so the W^d membership
+// behind Touched is a scan of a few IDs, and Capacity and Done are
+// counters, with no per-task hash set. The one map is worker -> held task,
+// an entry per busy worker.
 type Job struct {
 	ds   *task.Dataset
 	k    int
 	need int // votes on one side required for consensus
 
-	votes     map[int][]aggregate.Vote
-	voted     map[int]map[string]bool
-	pendingW  map[string]int          // worker -> task they hold
-	pendingT  map[int]map[string]bool // task -> workers holding it
-	completed map[int]task.Answer
+	tasks     []taskState
+	held      map[string]hold // worker -> the task they hold
+	completed int             // tasks with consensus
+}
 
-	// Test assignments (Section 4.1 Step 3 / Section 5): answers collected
+// taskState is one microtask's slot in Job.
+type taskState struct {
+	votes   []aggregate.Vote // in submission order
+	holders []string         // workers holding a regular assignment, sorted
+	// tested are the workers given the task as a test assignment (Section
+	// 4.1 Step 3 / Section 5), answered or still held: answers collected
 	// purely to estimate a worker's accuracy. They never count toward the
 	// k-vote consensus, honoring the Step-2 constraint that a microtask is
 	// assigned to at most its available assignment size.
-	pendingTestW map[string]int
-	testVoted    map[int]map[string]bool
+	tested []string
+	done   bool
+	answer task.Answer // consensus, once done
+}
+
+// hold is the assignment a busy worker holds.
+type hold struct {
+	task int
+	test bool
 }
 
 // NewJob creates bookkeeping for assigning ds with assignment size k.
@@ -72,17 +91,31 @@ func NewJob(ds *task.Dataset, k int) (*Job, error) {
 		return nil, errors.New("core: assignment size must be >= 1")
 	}
 	return &Job{
-		ds:           ds,
-		k:            k,
-		need:         k/2 + 1,
-		votes:        map[int][]aggregate.Vote{},
-		voted:        map[int]map[string]bool{},
-		pendingW:     map[string]int{},
-		pendingT:     map[int]map[string]bool{},
-		completed:    map[int]task.Answer{},
-		pendingTestW: map[string]int{},
-		testVoted:    map[int]map[string]bool{},
+		ds:    ds,
+		k:     k,
+		need:  k/2 + 1,
+		tasks: make([]taskState, ds.Len()),
+		held:  map[string]hold{},
 	}, nil
+}
+
+// task returns taskID's slot, nil when the ID is out of range.
+func (j *Job) task(taskID int) *taskState {
+	if taskID < 0 || taskID >= len(j.tasks) {
+		return nil
+	}
+	return &j.tasks[taskID]
+}
+
+// touched reports whether the worker voted on, was test-assigned, or holds
+// the task.
+func (s *taskState) touched(worker string) bool {
+	for i := range s.votes {
+		if s.votes[i].Worker == worker {
+			return true
+		}
+	}
+	return slices.Contains(s.holders, worker) || slices.Contains(s.tested, worker)
 }
 
 // Dataset returns the job's dataset.
@@ -95,78 +128,60 @@ func (j *Job) K() int { return j.k }
 // k minus collected votes minus outstanding assignments. Completed tasks
 // have zero capacity.
 func (j *Job) Capacity(taskID int) int {
-	if _, done := j.completed[taskID]; done {
+	s := j.task(taskID)
+	if s == nil {
+		return j.k
+	}
+	if s.done {
 		return 0
 	}
-	c := j.k - len(j.votes[taskID]) - len(j.pendingT[taskID])
-	if c < 0 {
-		c = 0
-	}
-	return c
+	return max(j.k-len(s.votes)-len(s.holders), 0)
 }
 
 // Touched reports whether the worker has voted on, test-answered, or
 // currently holds taskID (i.e. is in the paper's W^d(t), extended with test
 // exposure so no worker ever sees the same microtask twice).
 func (j *Job) Touched(worker string, taskID int) bool {
-	if j.voted[taskID][worker] || j.testVoted[taskID][worker] {
-		return true
-	}
-	if t, ok := j.pendingTestW[worker]; ok && t == taskID {
-		return true
-	}
-	return j.pendingT[taskID][worker]
+	s := j.task(taskID)
+	return s != nil && s.touched(worker)
 }
 
 // Pending returns the task the worker currently holds (regular or test).
 func (j *Job) Pending(worker string) (int, bool) {
-	if t, ok := j.pendingW[worker]; ok {
-		return t, ok
-	}
-	t, ok := j.pendingTestW[worker]
-	return t, ok
+	h, ok := j.held[worker]
+	return h.task, ok
 }
 
 // PendingTest reports whether the worker's pending assignment on taskID is
 // a test assignment.
 func (j *Job) PendingTest(worker string, taskID int) bool {
-	t, ok := j.pendingTestW[worker]
-	return ok && t == taskID
+	h, ok := j.held[worker]
+	return ok && h.test && h.task == taskID
 }
 
 // PendingWorkers returns the workers currently holding taskID, sorted.
 func (j *Job) PendingWorkers(taskID int) []string {
-	out := make([]string, 0, len(j.pendingT[taskID]))
-	for w := range j.pendingT[taskID] {
-		out = append(out, w)
+	s := j.task(taskID)
+	if s == nil {
+		return []string{}
 	}
-	sort.Strings(out)
-	return out
+	return append(make([]string, 0, len(s.holders)), s.holders...)
 }
 
 // Assign hands taskID to the worker as a regular (consensus-counting)
 // assignment. It enforces the one-task-at-a-time rule and the no-repeat
 // rule; completed tasks cannot take regular assignments.
 func (j *Job) Assign(worker string, taskID int) error {
-	if taskID < 0 || taskID >= j.ds.Len() {
-		return fmt.Errorf("core: task %d out of range", taskID)
+	s, err := j.assignable(worker, taskID)
+	if err != nil {
+		return err
 	}
-	if j.busy(worker) {
-		return ErrBusy
-	}
-	if j.Touched(worker, taskID) {
-		return fmt.Errorf("core: worker %s already touched task %d", worker, taskID)
-	}
-	if _, done := j.completed[taskID]; done {
+	if s.done {
 		return fmt.Errorf("core: task %d already completed", taskID)
 	}
-	j.pendingW[worker] = taskID
-	set, ok := j.pendingT[taskID]
-	if !ok {
-		set = map[string]bool{}
-		j.pendingT[taskID] = set
-	}
-	set[worker] = true
+	j.held[worker] = hold{task: taskID}
+	i, _ := slices.BinarySearch(s.holders, worker)
+	s.holders = slices.Insert(s.holders, i, worker)
 	return nil
 }
 
@@ -175,34 +190,51 @@ func (j *Job) Assign(worker string, taskID int) error {
 // Unlike Assign, completed tasks are allowed (they are the preferred test
 // targets — their consensus grades the answer immediately).
 func (j *Job) AssignTest(worker string, taskID int) error {
-	if taskID < 0 || taskID >= j.ds.Len() {
-		return fmt.Errorf("core: task %d out of range", taskID)
+	s, err := j.assignable(worker, taskID)
+	if err != nil {
+		return err
 	}
-	if j.busy(worker) {
-		return ErrBusy
-	}
-	if j.Touched(worker, taskID) {
-		return fmt.Errorf("core: worker %s already touched task %d", worker, taskID)
-	}
-	j.pendingTestW[worker] = taskID
+	j.held[worker] = hold{task: taskID, test: true}
+	s.tested = append(s.tested, worker)
 	return nil
 }
 
-func (j *Job) busy(worker string) bool {
-	if _, ok := j.pendingW[worker]; ok {
-		return true
+// assignable checks the rules both kinds of assignment share: the task
+// exists, the worker holds nothing, and the worker never touched the task.
+func (j *Job) assignable(worker string, taskID int) (*taskState, error) {
+	s := j.task(taskID)
+	if s == nil {
+		return nil, fmt.Errorf("core: task %d out of range", taskID)
 	}
-	_, ok := j.pendingTestW[worker]
-	return ok
+	if _, busy := j.held[worker]; busy {
+		return nil, ErrBusy
+	}
+	if s.touched(worker) {
+		return nil, fmt.Errorf("core: worker %s already touched task %d", worker, taskID)
+	}
+	return s, nil
 }
 
 // Release drops the worker's pending assignment (worker became inactive).
 func (j *Job) Release(worker string) {
-	if t, ok := j.pendingW[worker]; ok {
-		delete(j.pendingW, worker)
-		delete(j.pendingT[t], worker)
+	h, ok := j.held[worker]
+	if !ok {
+		return
 	}
-	delete(j.pendingTestW, worker)
+	delete(j.held, worker)
+	s := &j.tasks[h.task]
+	if h.test {
+		i := slices.Index(s.tested, worker)
+		s.tested = slices.Delete(s.tested, i, i+1)
+	} else {
+		s.unhold(worker)
+	}
+}
+
+// unhold removes the worker from the task's holders.
+func (s *taskState) unhold(worker string) {
+	i, _ := slices.BinarySearch(s.holders, worker)
+	s.holders = slices.Delete(s.holders, i, i+1)
 }
 
 // Submit records the worker's answer for their pending task. It returns
@@ -212,39 +244,28 @@ func (j *Job) Submit(worker string, taskID int, ans task.Answer) (completedNow b
 	if ans != task.Yes && ans != task.No {
 		return false, task.None, errors.New("core: answer must be YES or NO")
 	}
-	// Test submissions: record exposure only; the vote never enters the
-	// consensus tally.
-	if t, ok := j.pendingTestW[worker]; ok && t == taskID {
-		delete(j.pendingTestW, worker)
-		set, ok := j.testVoted[taskID]
-		if !ok {
-			set = map[string]bool{}
-			j.testVoted[taskID] = set
-		}
-		set[worker] = true
-		return false, task.None, nil
-	}
-	if t, ok := j.pendingW[worker]; !ok || t != taskID {
+	h, ok := j.held[worker]
+	if !ok || h.task != taskID {
 		return false, task.None, ErrNoPending
 	}
-	delete(j.pendingW, worker)
-	delete(j.pendingT[taskID], worker)
-	j.votes[taskID] = append(j.votes[taskID], aggregate.Vote{Worker: worker, Answer: ans})
-	set, ok := j.voted[taskID]
-	if !ok {
-		set = map[string]bool{}
-		j.voted[taskID] = set
+	delete(j.held, worker)
+	if h.test {
+		// Test submissions: the worker stays in tested as exposure only;
+		// the vote never enters the consensus tally.
+		return false, task.None, nil
 	}
-	set[worker] = true
+	s := &j.tasks[taskID]
+	s.unhold(worker)
+	s.votes = append(s.votes, aggregate.Vote{Worker: worker, Answer: ans})
 
-	if _, done := j.completed[taskID]; done {
+	if s.done {
 		// Late vote on an already-consensused task (possible when a test
 		// assignment was outstanding at completion time); keep the vote,
 		// no state change.
 		return false, task.None, nil
 	}
 	var yes, no int
-	for _, v := range j.votes[taskID] {
+	for _, v := range s.votes {
 		if v.Answer == task.Yes {
 			yes++
 		} else {
@@ -253,59 +274,75 @@ func (j *Job) Submit(worker string, taskID int, ans task.Answer) (completedNow b
 	}
 	switch {
 	case yes >= j.need:
-		j.completed[taskID] = task.Yes
-		return true, task.Yes, nil
-	case no >= j.need:
-		j.completed[taskID] = task.No
-		return true, task.No, nil
-	case yes+no >= j.k:
-		// Even k exact tie: resolve to NO deterministically.
-		j.completed[taskID] = task.No
-		return true, task.No, nil
+		consensus = task.Yes
+	case no >= j.need, yes+no >= j.k:
+		// yes+no >= k without a majority is an even-k exact tie: resolve
+		// to NO deterministically.
+		consensus = task.No
+	default:
+		return false, task.None, nil
 	}
-	return false, task.None, nil
+	j.complete(s, consensus)
+	return true, consensus, nil
+}
+
+// complete records the task's consensus.
+func (j *Job) complete(s *taskState, ans task.Answer) {
+	if !s.done {
+		s.done = true
+		j.completed++
+	}
+	s.answer = ans
 }
 
 // ForceComplete marks taskID globally completed with the given answer
 // without any votes. The framework uses it to seed qualification microtasks,
 // whose results come from requester ground truth (Section 5).
 func (j *Job) ForceComplete(taskID int, ans task.Answer) {
-	if taskID < 0 || taskID >= j.ds.Len() {
-		return
+	if s := j.task(taskID); s != nil {
+		j.complete(s, ans)
 	}
-	j.completed[taskID] = ans
 }
 
 // Votes returns the votes collected for taskID (shared slice; do not
 // mutate).
-func (j *Job) Votes(taskID int) []aggregate.Vote { return j.votes[taskID] }
+func (j *Job) Votes(taskID int) []aggregate.Vote {
+	if s := j.task(taskID); s != nil {
+		return s.votes
+	}
+	return nil
+}
 
 // AllVotes returns a copy of the vote table keyed by task.
 func (j *Job) AllVotes() map[int][]aggregate.Vote {
-	out := make(map[int][]aggregate.Vote, len(j.votes))
-	for t, vs := range j.votes {
-		out[t] = append([]aggregate.Vote(nil), vs...)
+	out := map[int][]aggregate.Vote{}
+	for t := range j.tasks {
+		if vs := j.tasks[t].votes; len(vs) > 0 {
+			out[t] = append([]aggregate.Vote(nil), vs...)
+		}
 	}
 	return out
 }
 
 // Completed returns the consensus answer of taskID, if reached.
 func (j *Job) Completed(taskID int) (task.Answer, bool) {
-	a, ok := j.completed[taskID]
-	return a, ok
+	if s := j.task(taskID); s != nil && s.done {
+		return s.answer, true
+	}
+	return 0, false
 }
 
 // NumCompleted returns the number of globally completed tasks.
-func (j *Job) NumCompleted() int { return len(j.completed) }
+func (j *Job) NumCompleted() int { return j.completed }
 
 // Done reports whether every task reached consensus.
-func (j *Job) Done() bool { return len(j.completed) == j.ds.Len() }
+func (j *Job) Done() bool { return j.completed == len(j.tasks) }
 
 // Uncompleted returns the IDs of tasks without consensus, ascending.
 func (j *Job) Uncompleted() []int {
 	var out []int
-	for t := 0; t < j.ds.Len(); t++ {
-		if _, done := j.completed[t]; !done {
+	for t := range j.tasks {
+		if !j.tasks[t].done {
 			out = append(out, t)
 		}
 	}
@@ -316,14 +353,15 @@ func (j *Job) Uncompleted() []int {
 // completed tasks, the current leading answer otherwise (None if no votes
 // or tied).
 func (j *Job) MajorityResults() map[int]task.Answer {
-	out := make(map[int]task.Answer, j.ds.Len())
-	for t := 0; t < j.ds.Len(); t++ {
-		if a, done := j.completed[t]; done {
-			out[t] = a
+	out := make(map[int]task.Answer, len(j.tasks))
+	for t := range j.tasks {
+		s := &j.tasks[t]
+		if s.done {
+			out[t] = s.answer
 			continue
 		}
-		raw := make([]task.Answer, 0, len(j.votes[t]))
-		for _, v := range j.votes[t] {
+		raw := make([]task.Answer, 0, len(s.votes))
+		for _, v := range s.votes {
 			raw = append(raw, v.Answer)
 		}
 		if a, ok := aggregate.MajorityVote(raw); ok {

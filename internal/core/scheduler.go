@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"icrowd/internal/assign"
+	"icrowd/internal/bitset"
 )
 
 // eventLog collects the IDs of microtasks whose job state (capacity, votes,
@@ -13,24 +14,22 @@ import (
 // leaf lock: never held across another acquisition.
 type eventLog struct {
 	mu    sync.Mutex
-	tasks map[int]bool
+	tasks bitset.List
 }
 
 func (l *eventLog) note(t int) {
 	l.mu.Lock()
-	if l.tasks == nil {
-		l.tasks = map[int]bool{}
-	}
-	l.tasks[t] = true
+	l.tasks.Add(t)
 	l.mu.Unlock()
 }
 
-func (l *eventLog) drain() map[int]bool {
+// drain moves the collected tasks into dst, emptied first, and keeps dst's
+// storage for the next round, so a steady state allocates nothing.
+func (l *eventLog) drain(dst *bitset.List) {
+	dst.Reset()
 	l.mu.Lock()
-	out := l.tasks
-	l.tasks = nil
+	*dst, l.tasks = l.tasks, *dst
 	l.mu.Unlock()
-	return out
 }
 
 // scheduler runs Algorithm 2 incrementally. It caches each microtask's top
@@ -51,22 +50,30 @@ func (l *eventLog) drain() map[int]bool {
 // scheme is identical to a from-scratch run (verified in tests). Stale sets
 // are recomputed across a bounded worker pool (Config.Concurrency) and
 // merged in task order, keeping the result deterministic.
+//
+// All state is dense: the cache is indexed by task, and worker sets are
+// bitsets over the estimator's worker ordinals (workerInfo.ord).
 type scheduler struct {
 	cacheEnabled bool
 	concurrency  int
 
-	entries map[int]schemeEntry // task -> cached top worker set
-	active  map[string]bool     // active set the entries were computed over
+	entries    []schemeEntry // task -> cached top worker set; kPrime 0 when none
+	active     bitset.Set    // active set the entries were computed over
+	activeOrds []int         // the same set as a list
 
 	// Per-run scratch, reused because runs are serialized by
-	// ic.recomputeMu. spare is the previous run's active set, cleared and
-	// refilled as the next one; pool goroutines write only their own
-	// results slot.
-	spare   map[string]bool
-	target  []int
-	stale   []staleTask
-	results [][]assign.Candidate
-	cands   []assign.CandidateAssignment
+	// ic.recomputeMu. spare and spareOrds are the previous run's active
+	// set, cleared and refilled as the next one; pool goroutines write only
+	// their own results slot.
+	spare     bitset.Set
+	spareOrds []int
+	removed   bitset.Set
+	events    bitset.List
+	ids       []string
+	target    []int
+	stale     []staleTask
+	results   [][]assign.Candidate
+	cands     []assign.CandidateAssignment
 }
 
 // staleTask is a microtask whose top worker set must be recomputed for
@@ -100,52 +107,53 @@ func newScheduler(cacheEnabled bool, concurrency int) *scheduler {
 	return &scheduler{cacheEnabled: cacheEnabled, concurrency: concurrency}
 }
 
-func (s *scheduler) invalidate(t int) { delete(s.entries, t) }
+func (s *scheduler) invalidate(t int) { s.entries[t] = schemeEntry{} }
 
 // schemeChunk is how many stale tasks a pool worker claims at a time.
 const schemeChunk = 8
 
-// compute runs Algorithm 2 steps 1-2 over the given active workers and
-// returns the worker -> task scheme. The caller holds ic.recomputeMu and at
-// least the read side of ic.mu; events is the drained change feed of job
-// mutations since the previous run.
-func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) map[string]int {
+// compute runs Algorithm 2 steps 1-2 over the given active workers, in any
+// order, and returns the worker -> task scheme. The caller holds
+// ic.recomputeMu and at least the read side of ic.mu. compute drains
+// ic.events, the change feed of job mutations since the previous run.
+func (s *scheduler) compute(ic *ICrowd, active []*workerInfo) map[string]int {
 	est, job := ic.est, ic.job
-
-	if len(active) == 0 {
-		// Nothing to assign and nothing worth keeping: entries would have to
-		// be revalidated against an empty active set anyway.
-		s.entries, s.active = map[int]schemeEntry{}, nil
-		est.ResetDirty()
-		return map[string]int{}
+	ic.events.drain(&s.events)
+	if n := job.Dataset().Len(); len(s.entries) != n {
+		s.entries = make([]schemeEntry, n)
+		s.active.Reset()
+		s.activeOrds = s.activeOrds[:0]
 	}
 
-	activeSet := s.spare
-	if activeSet == nil {
-		activeSet = make(map[string]bool, len(active))
-	}
-	clear(activeSet)
+	activeSet, ords, ids := s.spare, s.spareOrds[:0], s.ids[:0]
+	activeSet.Reset()
 	for _, w := range active {
-		activeSet[w] = true
+		activeSet.Add(w.ord)
+		ords = append(ords, w.ord)
+		ids = append(ids, w.id)
 	}
 
-	if !s.cacheEnabled || s.entries == nil || est.DirtyAll() {
-		s.entries = map[int]schemeEntry{}
+	if !s.cacheEnabled || est.DirtyAll() || len(active) == 0 {
+		// An empty active set keeps nothing worth keeping: entries would
+		// have to be revalidated against it anyway.
+		clear(s.entries)
 	} else {
 		est.EachDirtyTask(s.invalidate)
-		for t := range events {
+		for _, t := range s.events.Items() {
 			s.invalidate(t)
 		}
-		removed := map[string]bool{}
-		for w := range s.active {
-			if !activeSet[w] {
-				removed[w] = true
+		s.removed.Reset()
+		anyRemoved := false
+		for _, o := range s.activeOrds {
+			if !activeSet.Has(o) {
+				s.removed.Add(o)
+				anyRemoved = true
 			}
 		}
-		if len(removed) > 0 {
-			for t, e := range s.entries {
-				for _, c := range e.top {
-					if removed[c.Worker] {
+		if anyRemoved {
+			for t := range s.entries {
+				for _, c := range s.entries[t].top {
+					if s.removed.Has(c.Ord) {
 						s.invalidate(t)
 						break
 					}
@@ -153,14 +161,15 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 			}
 		}
 		for _, w := range active {
-			if s.active[w] {
+			if s.active.Has(w.ord) {
 				continue
 			}
-			for t, e := range s.entries {
+			for t := range s.entries {
 				// A joined worker enters the set when it is not full or when
 				// their accuracy reaches its minimum (>= because ties break
 				// by worker ID).
-				if len(e.top) < e.kPrime || est.Accuracy(w, t) >= e.top[len(e.top)-1].Accuracy {
+				e := &s.entries[t]
+				if e.kPrime > 0 && (len(e.top) < e.kPrime || est.AccuracyAt(w.ord, t) >= e.top[len(e.top)-1].Accuracy) {
 					s.invalidate(t)
 				}
 			}
@@ -168,23 +177,28 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 	}
 	est.ResetDirty()
 	s.spare, s.active = s.active, activeSet
+	s.spareOrds, s.activeOrds = s.activeOrds, ords
+	s.ids = ids
+	if len(active) == 0 {
+		return map[string]int{}
+	}
 
 	target, stale := s.target[:0], s.stale[:0]
-	for _, t := range job.Uncompleted() {
-		kp := job.Capacity(t)
+	for t := range s.entries {
+		kp := job.Capacity(t) // 0 for a completed task
 		if kp == 0 {
 			s.invalidate(t)
 			continue
 		}
 		target = append(target, t)
-		if e, ok := s.entries[t]; !ok || e.kPrime != kp {
+		if s.entries[t].kPrime != kp {
 			stale = append(stale, staleTask{t, kp})
 		}
 	}
 
 	ic.mStaleTasks.Set(float64(len(stale)))
 	if len(stale) > 0 {
-		ix := assign.NewIndex(est, active)
+		ix := assign.NewIndex(est, ids)
 		if cap(s.results) < len(stale) {
 			s.results = make([][]assign.Candidate, len(stale))
 		}

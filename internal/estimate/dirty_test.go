@@ -23,52 +23,75 @@ func dirtyBasis(t *testing.T) (*task.Dataset, *ppr.Basis) {
 	return ds, b
 }
 
+// drainFeed empties the change feed and returns what it held: the
+// icrowd_estimate_dirty_workers gauge ResetDirty publishes, and the dirty
+// tasks, each of which EachDirtyTask must report once.
+func drainFeed(t *testing.T, e *Estimator) (workers int, tasks map[int]bool) {
+	t.Helper()
+	tasks = map[int]bool{}
+	e.EachDirtyTask(func(tid int) {
+		if tasks[tid] {
+			t.Fatalf("task %d reported dirty twice", tid)
+		}
+		tasks[tid] = true
+	})
+	e.ResetDirty()
+	if got := mDirtyTasks.Value(); got != float64(len(tasks)) {
+		t.Fatalf("dirty-tasks gauge = %v, want %d", got, len(tasks))
+	}
+	return int(mDirtyWorkers.Value()), tasks
+}
+
 func TestDirtyTrackingObserve(t *testing.T) {
 	_, b := dirtyBasis(t)
 	e := New(b, DefaultLambda)
 	e.EnsureWorker("w", 0.7)
-	e.ResetDirty()
-
-	if got := e.DirtyWorkers(); len(got) != 0 {
-		t.Fatalf("clean estimator reports dirty workers %v", got)
+	if n, _ := drainFeed(t, e); n != 1 {
+		t.Fatalf("registration: %d dirty workers, want 1", n)
+	}
+	if n, tasks := drainFeed(t, e); n != 0 || len(tasks) != 0 {
+		t.Fatalf("clean estimator reports %d dirty workers, tasks %v", n, tasks)
 	}
 	if err := e.Observe("w", 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.DirtyWorkers(); !reflect.DeepEqual(got, []string{"w"}) {
-		t.Fatalf("DirtyWorkers = %v, want [w]", got)
+	// Observing one more task in the same generation counts w once.
+	if err := e.Observe("w", 1, 1); err != nil {
+		t.Fatal(err)
 	}
-	// The dirty tasks are exactly the support of the observed task's basis
-	// vector: the tasks where w's estimate actually moved.
+	// The dirty tasks are exactly the supports of the observed tasks' basis
+	// vectors: the tasks where w's estimate actually moved.
 	want := map[int]bool{}
-	for tid := range b.Vec(0) {
-		want[tid] = true
-	}
-	got := map[int]bool{}
-	e.EachDirtyTask(func(tid int) {
-		if got[tid] {
-			t.Fatalf("task %d reported dirty twice", tid)
+	for _, seed := range []int{0, 1} {
+		for tid := range b.Vec(seed) {
+			want[tid] = true
 		}
-		got[tid] = true
-	})
+	}
+	n, got := drainFeed(t, e)
+	if n != 1 {
+		t.Fatalf("%d dirty workers, want 1", n)
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("dirty tasks = %v, want support of vec(0) %v", got, want)
+		t.Fatalf("dirty tasks = %v, want support of vec(0) and vec(1) %v", got, want)
 	}
 
-	e.ResetDirty()
 	// Re-observing with the same value is a no-op: nothing moves.
 	if err := e.Observe("w", 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.DirtyWorkers(); len(got) != 0 {
-		t.Fatalf("no-op re-observe marked dirty: %v", got)
+	if n, tasks := drainFeed(t, e); n != 0 || len(tasks) != 0 {
+		t.Fatalf("no-op re-observe marked %d workers, tasks %v dirty", n, tasks)
 	}
 	// Re-observing with a different value moves estimates again.
 	if err := e.Observe("w", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.DirtyWorkers(); !reflect.DeepEqual(got, []string{"w"}) {
-		t.Fatalf("changed re-observe: DirtyWorkers = %v", got)
+	want = map[int]bool{}
+	for tid := range b.Vec(0) {
+		want[tid] = true
+	}
+	if n, tasks := drainFeed(t, e); n != 1 || !reflect.DeepEqual(tasks, want) {
+		t.Fatalf("changed re-observe: %d dirty workers, tasks %v; want 1, %v", n, tasks, want)
 	}
 }
 
@@ -79,14 +102,16 @@ func TestDirtyTrackingSetBase(t *testing.T) {
 	e.ResetDirty()
 
 	e.SetBase("w", 0.7) // unchanged: no dirt
-	if e.DirtyAll() || len(e.DirtyWorkers()) != 0 {
+	if n, _ := drainFeed(t, e); e.DirtyAll() || n != 0 {
 		t.Fatal("unchanged SetBase marked dirty")
 	}
 	e.SetBase("w", 0.9)
 	if !e.DirtyAll() {
 		t.Fatal("base change must set DirtyAll")
 	}
-	e.ResetDirty()
+	if n, _ := drainFeed(t, e); n != 1 {
+		t.Fatalf("base change: %d dirty workers, want 1", n)
+	}
 	if e.DirtyAll() {
 		t.Fatal("ResetDirty did not clear DirtyAll")
 	}
@@ -97,7 +122,7 @@ func TestDirtyTrackingSetBase(t *testing.T) {
 	if e.DirtyAll() {
 		t.Fatal("new-worker SetBase must not set DirtyAll")
 	}
-	if got := e.DirtyWorkers(); !reflect.DeepEqual(got, []string{"new"}) {
-		t.Fatalf("DirtyWorkers = %v, want [new]", got)
+	if n, _ := drainFeed(t, e); n != 1 {
+		t.Fatalf("new-worker SetBase: %d dirty workers, want 1", n)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"icrowd/internal/aggregate"
+	"icrowd/internal/bitset"
 	"icrowd/internal/obsv"
 	"icrowd/internal/ppr"
 	"icrowd/internal/stats"
@@ -40,36 +41,46 @@ const DefaultBase = 0.5
 
 // Estimator tracks per-worker observations and produces accuracy estimates.
 //
-// The estimator also tracks which workers' answer sets changed since the
-// last DirtyReset — the change feed the scheme scheduler (core) uses to
-// recombine accuracy vectors only for workers that actually moved, instead
-// of recomputing every top worker set per event.
+// Every worker gets a dense ordinal at registration (Ordinal): 0, 1, 2, ...
+// in registration order, never reused. Callers on the assignment hot path
+// resolve a worker once and then query by ordinal (AccuracyAt, InSupportAt,
+// PriorAt, UncertaintyAt), and EachSupport reports ordinals, so sets of
+// workers can be bitsets instead of maps keyed by worker ID.
+//
+// The estimator also tracks on which tasks some worker's estimate changed
+// since the last ResetDirty — the change feed the scheme scheduler (core)
+// uses to recompute only the top worker sets that could have moved,
+// instead of every set per event.
 type Estimator struct {
 	basis  *ppr.Basis
 	lambda float64
 	ws     map[string]*workerState
+	byOrd  []*workerState // registered workers by ordinal
 	// support[taskID] holds one evidence entry per worker with observation
 	// mass on the task, in first-observation order: the index behind
 	// instant top-worker computation (Section 4.1), scanned in place.
 	support [][]evidence
 	// inSupport[taskID] is the same set as a bitset over worker ordinals,
 	// for membership tests that need no lookup in a worker's slot map.
-	inSupport [][]uint64
+	inSupport []bitset.Set
 
-	// dirtyW are workers whose observations changed since the last reset;
-	// dirtyT are the tasks on which some worker's estimate changed (the
-	// union of the basis supports of the newly observed tasks). dirtyAll is
-	// set by base-accuracy changes, which move a worker's estimate on every
-	// task at once.
-	dirtyW   map[string]bool
-	dirtyT   map[int]bool
-	dirtyAll bool
+	// dirtyT are the tasks on which some worker's estimate changed since
+	// the last reset (the union of the basis supports of the newly observed
+	// tasks). dirtyWorkers counts the workers whose observations or base
+	// changed, each once per feed generation gen. dirtyAll is set by
+	// base-accuracy changes, which move a worker's estimate on every task
+	// at once.
+	dirtyT       bitset.List
+	gen          uint64
+	dirtyWorkers int
+	dirtyAll     bool
 }
 
 type workerState struct {
 	id       string
 	ord      int // registration order, the worker's bit in inSupport
 	base     float64
+	dirtyGen uint64          // feed generation this worker was last counted dirty in
 	observed map[int]float64 // task -> q_i^w
 	slot     map[int]int32   // task -> index of this worker's entry in support[task]
 }
@@ -83,13 +94,31 @@ type evidence struct {
 }
 
 // evidenceOn returns the worker's entry on taskID; the zero value (no mass)
-// when no observation reaches it.
-func (e *Estimator) evidenceOn(w *workerState, taskID int) (evidence, bool) {
-	i, ok := w.slot[taskID]
-	if !ok {
-		return evidence{}, false
+// when no observation reaches it. The support bitset answers the common
+// no-mass case without a lookup in the worker's slot map.
+func (e *Estimator) evidenceOn(w *workerState, taskID int) evidence {
+	if taskID < 0 || taskID >= len(e.inSupport) || !e.inSupport[taskID].Has(w.ord) {
+		return evidence{}
 	}
-	return e.support[taskID][i], true
+	return e.support[taskID][w.slot[taskID]]
+}
+
+// worker returns the state of the worker with ordinal ord; nil when no
+// worker has it.
+func (e *Estimator) worker(ord int) *workerState {
+	if ord < 0 || ord >= len(e.byOrd) {
+		return nil
+	}
+	return e.byOrd[ord]
+}
+
+// markWorkerDirty counts w in the dirty-worker gauge, once per feed
+// generation.
+func (e *Estimator) markWorkerDirty(w *workerState) {
+	if w.dirtyGen != e.gen {
+		w.dirtyGen = e.gen
+		e.dirtyWorkers++
+	}
 }
 
 // accuracy evaluates the shrunk estimate p_i^w from the worker's evidence
@@ -109,9 +138,8 @@ func New(basis *ppr.Basis, lambda float64) *Estimator {
 		lambda:    lambda,
 		ws:        make(map[string]*workerState),
 		support:   make([][]evidence, basis.N()),
-		inSupport: make([][]uint64, basis.N()),
-		dirtyW:    make(map[string]bool),
-		dirtyT:    make(map[int]bool),
+		inSupport: make([]bitset.Set, basis.N()),
+		gen:       1,
 	}
 }
 
@@ -124,28 +152,38 @@ func (e *Estimator) EnsureWorker(id string, base float64) bool {
 	if _, ok := e.ws[id]; ok {
 		return false
 	}
-	e.ws[id] = &workerState{
+	w := &workerState{
 		id:       id,
-		ord:      len(e.ws),
+		ord:      len(e.byOrd),
 		base:     stats.Clamp01(base),
 		observed: map[int]float64{},
 		slot:     map[int]int32{},
 	}
-	e.dirtyW[id] = true
+	e.ws[id] = w
+	e.byOrd = append(e.byOrd, w)
+	e.markWorkerDirty(w)
 	return true
+}
+
+// Ordinal returns the worker's registration ordinal, or -1 when the worker
+// is unknown. Every ordinal-keyed query treats -1 as an unregistered worker.
+func (e *Estimator) Ordinal(id string) int {
+	if w, ok := e.ws[id]; ok {
+		return w.ord
+	}
+	return -1
 }
 
 // SetBase updates a worker's warm-up base accuracy. A base change moves the
 // worker's estimate on every task, so it marks the whole estimator dirty.
 func (e *Estimator) SetBase(id string, base float64) {
 	if e.EnsureWorker(id, base) {
-		e.dirtyW[id] = true
 		return
 	}
 	base = stats.Clamp01(base)
-	if e.ws[id].base != base {
-		e.ws[id].base = base
-		e.dirtyW[id] = true
+	if w := e.ws[id]; w.base != base {
+		w.base = base
+		e.markWorkerDirty(w)
 		e.dirtyAll = true
 	}
 }
@@ -194,7 +232,7 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 	}
 	if n := e.basis.N(); len(e.support) < n { // the basis was extended
 		e.support = append(e.support, make([][]evidence, n-len(e.support))...)
-		e.inSupport = append(e.inSupport, make([][]uint64, n-len(e.inSupport))...)
+		e.inSupport = append(e.inSupport, make([]bitset.Set, n-len(e.inSupport))...)
 	}
 	q = stats.Clamp01(q)
 	e.EnsureWorker(id, DefaultBase)
@@ -206,7 +244,7 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 			for t, p := range vec {
 				e.support[t][w.slot[t]].num += delta * p
 			}
-			e.markDirty(id, vec)
+			e.markDirty(w, vec)
 		}
 	} else {
 		for t, p := range vec {
@@ -215,17 +253,13 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 				i = int32(len(e.support[t]))
 				w.slot[t] = i
 				e.support[t] = append(e.support[t], evidence{w: w})
-				word := w.ord / 64
-				for len(e.inSupport[t]) <= word {
-					e.inSupport[t] = append(e.inSupport[t], 0)
-				}
-				e.inSupport[t][word] |= 1 << (w.ord % 64)
+				e.inSupport[t].Add(w.ord)
 			}
 			ev := &e.support[t][i]
 			ev.num += q * p
 			ev.den += p
 		}
-		e.markDirty(id, vec)
+		e.markDirty(w, vec)
 	}
 	w.observed[taskID] = q
 	return nil
@@ -233,30 +267,19 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 
 // markDirty records that the worker's estimate moved on every task in the
 // basis vector's support.
-func (e *Estimator) markDirty(id string, vec map[int]float64) {
-	e.dirtyW[id] = true
+func (e *Estimator) markDirty(w *workerState, vec map[int]float64) {
+	e.markWorkerDirty(w)
 	for t := range vec {
-		e.dirtyT[t] = true
+		e.dirtyT.Add(t)
 	}
 }
 
-// DirtyWorkers returns the workers whose answer sets (or bases) changed
-// since the last ResetDirty, sorted.
-func (e *Estimator) DirtyWorkers() []string {
-	out := make([]string, 0, len(e.dirtyW))
-	for id := range e.dirtyW {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EachDirtyTask calls fn, in no particular order, for every task on which
-// at least one worker's estimate changed since the last ResetDirty. When
-// DirtyAll reports true the set is not exhaustive — every task must be
+// EachDirtyTask calls fn once, in no particular order, for every task on
+// which at least one worker's estimate changed since the last ResetDirty.
+// When DirtyAll reports true the set is not exhaustive — every task must be
 // considered stale.
 func (e *Estimator) EachDirtyTask(fn func(taskID int)) {
-	for t := range e.dirtyT {
+	for _, t := range e.dirtyT.Items() {
 		fn(t)
 	}
 }
@@ -275,13 +298,14 @@ var (
 		"Tasks invalidated in the drained dirty feed.")
 )
 
-// ResetDirty clears the change feed in place; the next DirtyWorkers and
-// EachDirtyTask report changes relative to this point.
+// ResetDirty clears the change feed in place; the next EachDirtyTask
+// reports changes relative to this point.
 func (e *Estimator) ResetDirty() {
-	mDirtyWorkers.Set(float64(len(e.dirtyW)))
-	mDirtyTasks.Set(float64(len(e.dirtyT)))
-	clear(e.dirtyW)
-	clear(e.dirtyT)
+	mDirtyWorkers.Set(float64(e.dirtyWorkers))
+	mDirtyTasks.Set(float64(e.dirtyT.Len()))
+	e.gen++
+	e.dirtyWorkers = 0
+	e.dirtyT.Reset()
 	e.dirtyAll = false
 }
 
@@ -361,45 +385,46 @@ func (e *Estimator) ObserveConsensus(taskID int, votes []aggregate.Vote, consens
 // Accuracy returns the estimated accuracy p_i^w of worker id on taskID.
 // Unregistered workers estimate at DefaultBase.
 func (e *Estimator) Accuracy(id string, taskID int) float64 {
-	w, ok := e.ws[id]
-	if !ok {
+	return e.AccuracyAt(e.Ordinal(id), taskID)
+}
+
+// AccuracyAt is Accuracy for the worker with ordinal ord.
+func (e *Estimator) AccuracyAt(ord, taskID int) float64 {
+	w := e.worker(ord)
+	if w == nil {
 		return DefaultBase
 	}
-	ev, _ := e.evidenceOn(w, taskID)
+	ev := e.evidenceOn(w, taskID)
 	return e.accuracy(w, ev.num, ev.den)
 }
 
-// InSupport reports whether worker id has observation mass on taskID, i.e.
-// whether any graph evidence reaches the task.
-func (e *Estimator) InSupport(id string, taskID int) bool {
-	w, ok := e.ws[id]
-	if !ok || taskID < 0 || taskID >= len(e.inSupport) {
-		return false
-	}
-	bits, word := e.inSupport[taskID], w.ord/64
-	return word < len(bits) && bits[word]&(1<<(w.ord%64)) != 0
+// InSupportAt reports whether the worker with ordinal ord has observation
+// mass on taskID, i.e. whether any graph evidence reaches the task.
+func (e *Estimator) InSupportAt(ord, taskID int) bool {
+	return taskID >= 0 && taskID < len(e.inSupport) && e.inSupport[taskID].Has(ord)
 }
 
-// Prior returns the estimate of worker id on every task outside their
-// support: Accuracy with zero graph evidence, a non-decreasing function of
-// the base accuracy alone.
-func (e *Estimator) Prior(id string) float64 {
-	w, ok := e.ws[id]
-	if !ok {
+// PriorAt returns the estimate of the worker with ordinal ord on every task
+// outside their support: AccuracyAt with zero graph evidence, a
+// non-decreasing function of the base accuracy alone.
+func (e *Estimator) PriorAt(ord int) float64 {
+	w := e.worker(ord)
+	if w == nil {
 		return DefaultBase
 	}
 	return e.accuracy(w, 0, 0)
 }
 
 // EachSupport calls fn with every worker that has observation mass on
-// taskID and their Accuracy there, in no particular order. It reads the
-// support index in place: no copy, no sort, no lookup by worker ID.
-func (e *Estimator) EachSupport(taskID int, fn func(id string, acc float64)) {
+// taskID — their ordinal, ID and Accuracy there — in no particular order.
+// It reads the support index in place: no copy, no sort, no lookup by
+// worker ID.
+func (e *Estimator) EachSupport(taskID int, fn func(ord int, id string, acc float64)) {
 	if taskID < 0 || taskID >= len(e.support) {
 		return
 	}
 	for _, ev := range e.support[taskID] {
-		fn(ev.w.id, e.accuracy(ev.w, ev.num, ev.den))
+		fn(ev.w.ord, ev.w.id, e.accuracy(ev.w, ev.num, ev.den))
 	}
 }
 
@@ -408,8 +433,7 @@ func (e *Estimator) EachSupport(taskID int, fn func(id string, acc float64)) {
 // behind the estimate.
 func (e *Estimator) Mass(id string, taskID int) float64 {
 	if w, ok := e.ws[id]; ok {
-		ev, _ := e.evidenceOn(w, taskID)
-		return ev.den
+		return e.evidenceOn(w, taskID).den
 	}
 	return 0
 }
@@ -420,13 +444,16 @@ func (e *Estimator) Mass(id string, taskID int) float64 {
 // on itself, so dividing by it calibrates "one completed microtask at the
 // seed" to one effective count.
 func (e *Estimator) EffectiveCounts(id string, taskID int) (n1, n0 float64) {
-	w, ok := e.ws[id]
-	if !ok {
+	return e.effectiveCounts(e.worker(e.Ordinal(id)), taskID)
+}
+
+func (e *Estimator) effectiveCounts(w *workerState, taskID int) (n1, n0 float64) {
+	if w == nil {
 		return 0, 0
 	}
 	o := e.basis.Options()
 	restart := o.Alpha / (1 + o.Alpha)
-	ev, _ := e.evidenceOn(w, taskID)
+	ev := e.evidenceOn(w, taskID)
 	num := ev.num / restart
 	den := ev.den / restart
 	if num < 0 {
@@ -441,7 +468,12 @@ func (e *Estimator) EffectiveCounts(id string, taskID int) (n1, n0 float64) {
 // Uncertainty returns the Step-3 estimation variance for worker id on
 // taskID: the variance of Beta(N1+1, N0+1) over the effective counts.
 func (e *Estimator) Uncertainty(id string, taskID int) float64 {
-	n1, n0 := e.EffectiveCounts(id, taskID)
+	return e.UncertaintyAt(e.Ordinal(id), taskID)
+}
+
+// UncertaintyAt is Uncertainty for the worker with ordinal ord.
+func (e *Estimator) UncertaintyAt(ord, taskID int) float64 {
+	n1, n0 := e.effectiveCounts(e.worker(ord), taskID)
 	return stats.UncertaintyVariance(n1, n0)
 }
 

@@ -237,7 +237,12 @@ func TestMassAndSupport(t *testing.T) {
 	}
 	support := func(tid int) map[string]float64 {
 		out := map[string]float64{}
-		e.EachSupport(tid, func(id string, acc float64) { out[id] = acc })
+		e.EachSupport(tid, func(ord int, id string, acc float64) {
+			if ord != e.Ordinal(id) {
+				t.Fatalf("support of %d lists %s at ordinal %d, want %d", tid, id, ord, e.Ordinal(id))
+			}
+			out[id] = acc
+		})
 		return out
 	}
 	if sup := support(3); len(sup) != 1 || sup["a"] != e.Accuracy("a", 3) {
@@ -252,11 +257,12 @@ func TestMassAndSupport(t *testing.T) {
 		tid       int
 		supported bool
 	}{{"a", 3, true}, {"a", 10, false}, {"b", 3, false}, {"ghost", 3, false}} {
-		if got := e.InSupport(c.id, c.tid); got != c.supported {
-			t.Fatalf("InSupport(%s, %d) = %v, want %v", c.id, c.tid, got, c.supported)
+		ord := e.Ordinal(c.id)
+		if got := e.InSupportAt(ord, c.tid); got != c.supported {
+			t.Fatalf("InSupportAt(%s, %d) = %v, want %v", c.id, c.tid, got, c.supported)
 		}
-		if !c.supported && e.Accuracy(c.id, c.tid) != e.Prior(c.id) {
-			t.Fatalf("Accuracy(%s, %d) = %v, want Prior %v", c.id, c.tid, e.Accuracy(c.id, c.tid), e.Prior(c.id))
+		if !c.supported && e.Accuracy(c.id, c.tid) != e.PriorAt(ord) {
+			t.Fatalf("Accuracy(%s, %d) = %v, want PriorAt %v", c.id, c.tid, e.Accuracy(c.id, c.tid), e.PriorAt(ord))
 		}
 	}
 	// Re-observing the same task changes the estimate but never lists a
@@ -265,7 +271,7 @@ func TestMassAndSupport(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	e.EachSupport(3, func(string, float64) { n++ })
+	e.EachSupport(3, func(int, string, float64) { n++ })
 	if n != 1 {
 		t.Fatalf("support of t4 lists %d entries after a re-observe, want 1", n)
 	}

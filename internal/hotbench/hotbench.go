@@ -1,7 +1,7 @@
 // Package hotbench defines the shared benchmark bodies for the
 // estimation/assignment hot path. They are run two ways: as ordinary
 // `go test -bench` benchmarks (hotpath_bench_test.go at the repo root,
-// Benchmark{Precompute,ComputeScheme,AssignThroughput}) and via
+// Benchmark{Precompute,ComputeScheme,PerformanceTest,AssignThroughput}) and via
 // testing.Benchmark by the icrowd-bench command, which writes the
 // machine-readable BENCH_hotpath.json report. Keeping one copy of each
 // body guarantees the report measures exactly what the named benchmarks
@@ -107,17 +107,28 @@ func qualified(b *testing.B, ds *task.Dataset, basis *ppr.Basis, cfg core.Config
 		b.Fatal(err)
 	}
 	for _, w := range ids {
-		for range ic.QualificationTasks() {
-			tid, ok := ic.RequestTask(w)
-			if !ok {
-				b.Fatal("no qualification task")
-			}
-			if err := ic.SubmitAnswer(w, tid, ds.Tasks[tid].Truth); err != nil {
-				b.Fatal(err)
-			}
-		}
+		qualify(b, ic, ds, w, 0)
 	}
 	return ic
+}
+
+// qualify walks worker w through qualification, answering the first wrong
+// microtasks wrongly and the rest with the ground truth.
+func qualify(b *testing.B, ic *core.ICrowd, ds *task.Dataset, w string, wrong int) {
+	b.Helper()
+	for i := range ic.QualificationTasks() {
+		tid, ok := ic.RequestTask(w)
+		if !ok {
+			b.Fatal("no qualification task")
+		}
+		ans := ds.Tasks[tid].Truth
+		if i < wrong {
+			ans = ans.Flip()
+		}
+		if err := ic.SubmitAnswer(w, tid, ans); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // SchemeCrowd is the crowd size of the concurrency=N ComputeScheme rows.
@@ -162,6 +173,76 @@ func ComputeScheme(concurrency, crowd int) func(*testing.B) {
 			if err := ic.SubmitAnswer(w, tid, ds.Tasks[tid].Truth); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// PerformanceTest returns the BenchmarkPerformanceTest body: RequestTask
+// for a qualified worker the scheme left out, which gets a Step-3 test
+// microtask (Section 4.1) chosen over every completed task. Half the crowd
+// passes qualification with full marks and takes the top worker sets; the
+// other half passes at 7/10, is never in a set, and is served by Step 3.
+// The strong half first completes half the job, so the test has some 180
+// completed candidates with their voters to score. Each timed request is
+// one weak worker's; between batches, off the clock, the weak workers are
+// released and the scheme is recomputed, so the job stays where it is and
+// no timed request runs Algorithm 2.
+func PerformanceTest(crowd int) func(*testing.B) {
+	return func(b *testing.B) {
+		ds, g, err := Graph()
+		if err != nil {
+			b.Fatal(err)
+		}
+		basis, err := ppr.Precompute(g, ppr.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ic, err := core.New(ds, basis, core.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids := pool(crowd)
+		strong, weak := ids[:crowd/2], ids[crowd/2:]
+		for _, w := range strong {
+			qualify(b, ic, ds, w, 0)
+		}
+		for _, w := range weak {
+			qualify(b, ic, ds, w, 3)
+		}
+		for round := 0; ic.Job().NumCompleted() < ds.Len()/2; round++ {
+			if round == 100 {
+				b.Fatalf("job stuck at %d completed tasks", ic.Job().NumCompleted())
+			}
+			for _, w := range strong {
+				if tid, ok := ic.RequestTask(w); ok {
+					if err := ic.SubmitAnswer(w, tid, ds.Tasks[tid].Truth); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		trigger := strong[0]
+		b.ResetTimer()
+		for i := 0; i < b.N; {
+			b.StopTimer()
+			for _, w := range weak {
+				ic.WorkerInactive(w)
+			}
+			ic.WorkerInactive(trigger)
+			ic.RequestTask(trigger) // runs the scheme, leaving it clean
+			b.StartTimer()
+			n := min(len(weak), b.N-i)
+			for _, w := range weak[:n] {
+				ic.RequestTask(w)
+			}
+			i += n
+			b.StopTimer()
+			for _, w := range weak[:n] {
+				if tid, ok := ic.Job().Pending(w); !ok || !ic.Job().PendingTest(w, tid) {
+					b.Fatalf("worker %s got no Step-3 test", w)
+				}
+			}
+			b.StartTimer()
 		}
 	}
 }
