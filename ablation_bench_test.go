@@ -1,7 +1,8 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// heap-based greedy vs the paper's literal O(|T|^2) loop, the sparse PPR
-// push vs dense power iteration, and the indexed top-worker computation vs
-// the O(|W|) scan.
+// heap-based greedy vs the paper's literal O(|T|^2) loop and the indexed
+// top-worker computation vs the O(|W|) scan. The PPR ablations (sparse push
+// vs dense power iteration, Lemma-3 combination vs re-solving) live with
+// their reference solvers in internal/ppr.
 package icrowd
 
 import (
@@ -18,8 +19,6 @@ import (
 // ablationFixture bundles the shared setup.
 type ablationFixture struct {
 	ds    *task.Dataset
-	g     *simgraph.Graph
-	basis *ppr.Basis
 	est   *estimate.Estimator
 	ids   []string
 	cands []assign.CandidateAssignment
@@ -53,7 +52,7 @@ func newAblationFixture(b *testing.B, workers int) *ablationFixture {
 			Workers: assign.TopWorkers(est, tid, 3, ids),
 		})
 	}
-	return &ablationFixture{ds: ds, g: g, basis: basis, est: est, ids: ids, cands: cands}
+	return &ablationFixture{ds: ds, est: est, ids: ids, cands: cands}
 }
 
 // BenchmarkAblationGreedyHeap measures the production heap-based greedy.
@@ -76,35 +75,6 @@ func BenchmarkAblationGreedyReference(b *testing.B) {
 		if got := assign.GreedyReference(fx.cands); len(got) == 0 {
 			b.Fatal("empty scheme")
 		}
-	}
-}
-
-// BenchmarkAblationPPRSparsePush measures the localized sparse solver used
-// in production for one basis vector.
-func BenchmarkAblationPPRSparsePush(b *testing.B) {
-	fx := newAblationFixture(b, 10)
-	o := ppr.DefaultOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ppr.SparseSolve(fx.g, i%fx.g.N(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationPPRDenseIteration measures the dense Eq.-(4) power
-// iteration the sparse push replaces.
-func BenchmarkAblationPPRDenseIteration(b *testing.B) {
-	fx := newAblationFixture(b, 10)
-	o := ppr.DefaultOptions()
-	q := make([]float64, fx.g.N())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q[i%len(q)] = 1
-		if _, _, err := ppr.DenseSolve(fx.g, q, o); err != nil {
-			b.Fatal(err)
-		}
-		q[i%len(q)] = 0
 	}
 }
 
@@ -138,35 +108,6 @@ func BenchmarkAblationTopWorkersScan(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAblationCombineLinearity measures the Lemma-3 linear combination
-// against re-solving Eq. (4) from scratch for the same observed vector —
-// the paper's core efficiency claim for online estimation.
-func BenchmarkAblationCombineLinearity(b *testing.B) {
-	fx := newAblationFixture(b, 10)
-	q := map[int]float64{0: 1, 50: 0.4, 100: 0.9, 200: 0.2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := fx.basis.Combine(q); len(got) == 0 {
-			b.Fatal("empty combine")
-		}
-	}
-}
-
-// BenchmarkAblationResolveFromScratch is the baseline for
-// BenchmarkAblationCombineLinearity.
-func BenchmarkAblationResolveFromScratch(b *testing.B) {
-	fx := newAblationFixture(b, 10)
-	o := ppr.DefaultOptions()
-	q := make([]float64, fx.g.N())
-	q[0], q[50], q[100], q[200] = 1, 0.4, 0.9, 0.2
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ppr.DenseSolve(fx.g, q, o); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

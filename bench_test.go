@@ -179,13 +179,15 @@ func BenchmarkGraphBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPPRSparseSolve measures one basis-vector computation.
+// BenchmarkPPRSparseSolve measures one basis-vector computation with the
+// push solver the precompute uses.
 func BenchmarkPPRSparseSolve(b *testing.B) {
 	_, g, _ := itemCompareBasis(b)
 	o := ppr.DefaultOptions()
+	sv := ppr.NewSolver(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ppr.SparseSolve(g, i%g.N(), o); err != nil {
+		if _, _, err := sv.Solve(i%g.N(), o); err != nil {
 			b.Fatal(err)
 		}
 	}

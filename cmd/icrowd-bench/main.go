@@ -1,7 +1,7 @@
 // Command icrowd-bench measures the estimation/assignment hot path and
 // writes a machine-readable report, BENCH_hotpath.json by default. It runs
-// the same benchmark bodies as Benchmark{Precompute,ComputeScheme,
-// AssignThroughput} (internal/hotbench) via testing.Benchmark, then
+// the same benchmark bodies as Benchmark{Precompute,CoreNew,ComputeScheme,
+// PerformanceTest,AssignThroughput} (internal/hotbench) via testing.Benchmark, then
 // records per-benchmark timings plus the headline figure: the speedup of
 // the 8-way parallel PPR precompute over the sequential baseline. The
 // parallel and sequential variants produce bit-identical bases, so the
@@ -121,6 +121,7 @@ func main() {
 			seq,
 			par,
 			delta,
+			run("BenchmarkCoreNew/dataset=ItemCompare", hotbench.CoreNew()),
 			run("BenchmarkComputeScheme/concurrency=1", hotbench.ComputeScheme(1, hotbench.SchemeCrowd)),
 			run(fmt.Sprintf("BenchmarkComputeScheme/concurrency=%d", pw), hotbench.ComputeScheme(pw, hotbench.SchemeCrowd)),
 			run(fmt.Sprintf("BenchmarkComputeScheme/crowd=%d", hotbench.AdaptiveCrowd), hotbench.ComputeScheme(1, hotbench.AdaptiveCrowd)),

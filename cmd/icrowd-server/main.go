@@ -43,6 +43,7 @@ import (
 	"icrowd/internal/qualify"
 	"icrowd/internal/simgraph"
 	"icrowd/internal/store"
+	"icrowd/internal/task"
 )
 
 func main() {
@@ -95,34 +96,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var basis *ppr.Basis
-	if *basisPath != "" {
-		if cached, err := ppr.LoadFile(*basisPath); err == nil {
-			if cached.N() == ds.Len() {
-				basis = cached
-				logger.Info("loaded basis cache", slog.String("path", *basisPath))
-			} else {
-				logger.Warn("basis cache does not match dataset; recomputing",
-					slog.Int("cache_tasks", cached.N()), slog.Int("dataset_tasks", ds.Len()))
-			}
-		}
-	}
-	if basis == nil {
-		bc := core.DefaultBasisConfig()
-		bc.Measure = simgraph.MeasureKind(*measure)
-		bc.Threshold = *threshold
-		bc.Seed = *seed
-		bc.Workers = *conc
-		basis, err = core.BuildBasis(ds, bc)
-		if err != nil {
-			fail(err)
-		}
-		if *basisPath != "" {
-			if err := basis.SaveFile(*basisPath); err != nil {
-				fail(err)
-			}
-			logger.Info("saved basis cache", slog.String("path", *basisPath))
-		}
+	bc := core.DefaultBasisConfig()
+	bc.Measure = simgraph.MeasureKind(*measure)
+	bc.Threshold = *threshold
+	bc.Seed = *seed
+	bc.Workers = *conc
+	basis, err := loadOrBuildBasis(*basisPath, ds, bc, logger)
+	if err != nil {
+		fail(err)
 	}
 
 	// newStrategy builds a fresh strategy from the flags with the given
@@ -320,6 +301,39 @@ func main() {
 			logger.Error("shutdown did not drain cleanly", slog.String("error", err.Error()))
 		}
 	}
+}
+
+// loadOrBuildBasis returns the PPR basis for ds: the cache at path when it
+// loads and covers the dataset, otherwise a fresh precomputation, written
+// back to path. A cache that does not load — missing, damaged, or written
+// in another wire format version — is recomputed. An empty path disables
+// the cache.
+func loadOrBuildBasis(path string, ds *task.Dataset, bc core.BasisConfig, logger *slog.Logger) (*ppr.Basis, error) {
+	if path != "" {
+		cached, err := ppr.LoadFile(path)
+		switch {
+		case err == nil && cached.N() == ds.Len():
+			logger.Info("loaded basis cache", slog.String("path", path))
+			return cached, nil
+		case err == nil:
+			logger.Warn("basis cache does not match dataset; recomputing",
+				slog.Int("cache_tasks", cached.N()), slog.Int("dataset_tasks", ds.Len()))
+		case !errors.Is(err, os.ErrNotExist):
+			logger.Warn("basis cache unreadable; recomputing",
+				slog.String("path", path), slog.String("error", err.Error()))
+		}
+	}
+	basis, err := core.BuildBasis(ds, bc)
+	if err != nil {
+		return nil, err
+	}
+	if path != "" {
+		if err := basis.SaveFile(path); err != nil {
+			return nil, err
+		}
+		logger.Info("saved basis cache", slog.String("path", path))
+	}
+	return basis, nil
 }
 
 // projectSeed derives a stable per-project strategy seed from the base

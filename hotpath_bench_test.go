@@ -29,6 +29,12 @@ func BenchmarkPrecomputeDelta(b *testing.B) {
 	hotbench.PrecomputeDelta()(b)
 }
 
+// BenchmarkCoreNew measures building the framework for one project on
+// ItemCompare, InfQF qualification selection over the full basis included.
+func BenchmarkCoreNew(b *testing.B) {
+	b.Run("dataset=ItemCompare", hotbench.CoreNew())
+}
+
 // BenchmarkComputeScheme measures one adaptive round mid-job: a submitted
 // answer dirties the worker's top-set entries and the following request
 // forces the incremental scheme recomputation. The concurrency=N rows run a

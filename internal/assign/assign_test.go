@@ -165,7 +165,7 @@ func TestIndexTopWorkersParity(t *testing.T) {
 			}
 		}
 		excl := func(w string) bool { return excluded[w] }
-		for tid := 0; tid < e.NumTasks(); tid++ {
+		for tid := 0; tid < task.ProductMatching().Len(); tid++ {
 			for _, k := range []int{1, 2, 3, 5, n + 1} {
 				want := TopWorkers(e, tid, k, eligible)
 				got := ix.TopWorkers(tid, k, excl)
@@ -433,7 +433,7 @@ func TestPerformanceTest(t *testing.T) {
 			for _, a := range c.accs {
 				sum += a
 			}
-			p.Offer(c.task, e.Uncertainty("w", c.task), sum, len(c.accs))
+			p.Offer(c.task, e.UncertaintyAt(e.Ordinal("w"), c.task), sum, len(c.accs))
 		}
 		return p.Best()
 	}

@@ -89,6 +89,7 @@ func TestSchemeCacheParity(t *testing.T) {
 		})
 	}
 	t.Run("rejoin-at-minimum-tie", testRejoinTieParity)
+	t.Run("release-then-vote", testReleaseVoteParity)
 	t.Run("active-set-churn", testActiveChurnParity)
 }
 
@@ -155,6 +156,96 @@ func isolatedDataset(n int) *task.Dataset {
 	return ds
 }
 
+// lockstep drives a framework with the incremental scheme cache and one
+// recomputing every top worker set from scratch through the same calls on
+// isolated microtasks (qualification 4-7). Every request must return the
+// same on both and leave both within the capacity invariant.
+type lockstep struct {
+	t             *testing.T
+	cached, fresh *ICrowd
+}
+
+func newLockstep(t *testing.T, k int) *lockstep {
+	t.Helper()
+	ds := isolatedDataset(8)
+	basis, err := BuildBasis(ds, DefaultBasisConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.K = k
+	qual := WithQualification([]int{4, 5, 6, 7})
+	cached, err := New(ds, basis, cfg, qual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(ds, basis, cfg, qual, WithSchemeCache(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &lockstep{t: t, cached: cached, fresh: fresh}
+}
+
+func (l *lockstep) request(w string) (int, bool) {
+	l.t.Helper()
+	ct, cok := l.cached.RequestTask(w)
+	ft, fok := l.fresh.RequestTask(w)
+	if ct != ft || cok != fok {
+		l.t.Fatalf("request by %s: cached (%d,%v) != fresh (%d,%v)", w, ct, cok, ft, fok)
+	}
+	checkCapacity(l.t, l.cached)
+	checkCapacity(l.t, l.fresh)
+	return ct, cok
+}
+
+func (l *lockstep) submit(w string, tid int, ans task.Answer) {
+	l.t.Helper()
+	for _, ic := range []*ICrowd{l.cached, l.fresh} {
+		if err := ic.SubmitAnswer(w, tid, ans); err != nil {
+			l.t.Fatalf("submit by %s on %d: %v", w, tid, err)
+		}
+	}
+}
+
+// qualify answers n qualification microtasks for w, the first wrong of
+// them incorrectly.
+func (l *lockstep) qualify(w string, n, wrong int) {
+	l.t.Helper()
+	for i := 0; i < n; i++ {
+		tid, ok := l.request(w)
+		if !ok {
+			l.t.Fatalf("%s got no qualification microtask", w)
+		}
+		ans := task.Yes
+		if i < wrong {
+			ans = task.No
+		}
+		l.submit(w, tid, ans)
+	}
+}
+
+// expect requests for w and fails unless w gets microtask want.
+func (l *lockstep) expect(w string, want int) {
+	l.t.Helper()
+	if tid, ok := l.request(w); !ok || tid != want {
+		l.t.Fatalf("%s got (%d,%v), want t%d", w, tid, ok, want)
+	}
+}
+
+// checkCapacity fails the test when an open microtask holds more regular
+// assignments and votes than k: the Step-2 constraint every regular
+// assignment, the Step-3 fallback's included, must keep.
+func checkCapacity(t *testing.T, ic *ICrowd) {
+	t.Helper()
+	j := ic.Job()
+	for tid := range j.tasks {
+		s := &j.tasks[tid]
+		if !s.done && len(s.holders)+len(s.votes) > j.K() {
+			t.Fatalf("open task %d has holders %v and %d votes, over k = %d", tid, s.holders, len(s.votes), j.K())
+		}
+	}
+}
+
 // testRejoinTieParity pins the joined-worker rule of the scheduler at an
 // exact tie. Workers a and b pass qualification with the same base, so
 // they estimate identically on every microtask neither has answered; c
@@ -163,80 +254,130 @@ func isolatedDataset(n int) *task.Dataset {
 //  1. a takes the first open microtask (t0) from a scheme over {a, b}.
 //  2. c finishes qualification. c's request runs the scheme over {b, c}:
 //     every cached set is {b}, and c is sent to Step 3, whose fallback
-//     hands them t0 (no completed microtask to test with yet).
+//     hands them t1 (no completed microtask to test with yet, and t0 is
+//     full).
 //  3. a answers t0, which moves a's estimate on t0 only.
 //  4. b's request runs the scheme over {a, b}: a rejoins the active set at
-//     exactly the minimum accuracy of every cached set {b}, and a's ID is
-//     the smaller, so every set must become {a}. A cache that kept {b}
-//     would give b t1 instead of sending b to a Step-3 test on t0.
+//     exactly the minimum accuracy of the cached sets {b} on t2 and t3, and
+//     a's ID is the smaller, so those sets must become {a}. A cache that
+//     kept {b} would give b t2 instead of sending b to a Step-3 test on t0.
 func testRejoinTieParity(t *testing.T) {
-	ds := isolatedDataset(8)
-	basis, err := BuildBasis(ds, DefaultBasisConfig())
-	if err != nil {
-		t.Fatal(err)
+	l := newLockstep(t, 1)
+	l.qualify("a", 4, 0)
+	l.qualify("b", 4, 0)
+	l.qualify("c", 3, 1) // c passes at 3/4, below a and b
+	l.expect("a", 0)
+	l.qualify("c", 1, 0)
+	l.expect("c", 1) // the Step-3 fallback
+	l.submit("a", 0, task.Yes)
+	if !l.cached.Job().Touched("c", 1) {
+		t.Fatal("c should still hold t1")
 	}
-	cfg := DefaultConfig()
-	cfg.K = 1
-	qual := []int{4, 5, 6, 7}
-	cached, err := New(ds, basis, cfg, WithQualification(qual))
-	if err != nil {
-		t.Fatal(err)
+	l.expect("b", 0)
+	if !l.cached.Job().PendingTest("b", 0) {
+		t.Fatal("b's t0 should be a Step-3 test")
 	}
-	fresh, err := New(ds, basis, cfg, WithQualification(qual), WithSchemeCache(false))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestStep3FallbackRespectsCapacity pins the capacity check of Step 3's
+// fallback. With k = 1, a holds t0 when c, left out of the scheme with no
+// completed microtask to test with, falls back to a regular assignment: it
+// must be an open microtask with a free slot, never t0. Once every open
+// microtask is held, later workers get nothing rather than an assignment
+// over k.
+func TestStep3FallbackRespectsCapacity(t *testing.T) {
+	l := newLockstep(t, 1)
+	l.qualify("a", 4, 0)
+	l.qualify("b", 4, 0)
+	l.qualify("c", 4, 1)
+	l.expect("a", 0)
+	if tid, ok := l.request("c"); !ok || tid == 0 {
+		t.Fatalf("c got (%d,%v), want a free microtask, not the full t0", tid, ok)
 	}
-	request := func(w string) (int, bool) {
-		t.Helper()
-		ct, cok := cached.RequestTask(w)
-		ft, fok := fresh.RequestTask(w)
-		if ct != ft || cok != fok {
-			t.Fatalf("request by %s: cached (%d,%v) != fresh (%d,%v)", w, ct, cok, ft, fok)
-		}
-		return ct, cok
-	}
-	submit := func(w string, tid int, ans task.Answer) {
-		t.Helper()
-		for _, ic := range []*ICrowd{cached, fresh} {
-			if err := ic.SubmitAnswer(w, tid, ans); err != nil {
-				t.Fatalf("submit by %s on %d: %v", w, tid, err)
-			}
-		}
-	}
-	qualifyAll := func(w string, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			tid, ok := request(w)
-			if !ok {
-				t.Fatalf("%s got no qualification microtask", w)
-			}
-			ans := task.Yes
-			if w == "c" && i == 0 {
-				ans = task.No // c passes at 3/4, below a and b
-			}
-			submit(w, tid, ans)
+	l.qualify("d", 4, 0)
+	l.qualify("e", 4, 0)
+	for _, w := range []string{"b", "d"} {
+		if _, ok := l.request(w); !ok {
+			t.Fatalf("%s got nothing with a free microtask left", w)
 		}
 	}
-	qualifyAll("a", len(qual))
-	qualifyAll("b", len(qual))
-	qualifyAll("c", len(qual)-1)
-	if tid, ok := request("a"); !ok || tid != 0 {
-		t.Fatalf("a got (%d,%v), want t0", tid, ok)
+	if tid, ok := l.request("e"); ok {
+		t.Fatalf("e got t%d with every open microtask full", tid)
 	}
-	tid, ok := request("c")
-	if !ok {
-		t.Fatal("c got no last qualification microtask")
+}
+
+// TestStaleSchemeEntryRespectsCapacity pins the capacity check on the
+// scheme path. With k = 1, c's request runs the scheme over {a, c}, which
+// reserves t0 for a and leaves c out; c's Step-3 fallback then takes t0,
+// the first free microtask, before a asks. a's entry is stale: a must get
+// another microtask, not a second regular assignment on t0.
+func TestStaleSchemeEntryRespectsCapacity(t *testing.T) {
+	l := newLockstep(t, 1)
+	l.qualify("a", 4, 0)
+	l.qualify("c", 4, 1)
+	l.expect("c", 0)
+	if tid, ok := l.request("a"); !ok || tid == 0 {
+		t.Fatalf("a got (%d,%v), want a free microtask, not the full t0", tid, ok)
 	}
-	submit("c", tid, task.Yes)
-	if tid, ok := request("c"); !ok || tid != 0 {
-		t.Fatalf("c got (%d,%v), want the Step-3 fallback t0", tid, ok)
+}
+
+// testReleaseVoteParity pins the scheduler's job-event feed. Between two
+// scheme runs a task's capacity can come back to the value its cached top
+// set was computed for while W^d, the workers excluded from it, changed.
+// With k = 2 on isolated microtasks, a (base 1) and c (base 0.75):
+//
+//  1. c holds t0, and the scheme runs over {a}: t0 has one slot left and
+//     its cached top set is {a}.
+//  2. a takes t0, c releases it and a answers it. t0 is back at one slot,
+//     but a has now voted on it. One vote completes nothing, and c rejoins
+//     below a's accuracy, so neither the estimator's dirty feed nor an
+//     active-set rule invalidates t0.
+//  3. The scheme runs over {a, c}. Only the job events of step 2 make t0
+//     stale: a cache that kept {a} would offer a the microtask they
+//     already answered, where a fresh scheme sends a and c to t1.
+//
+// The job is driven directly, noting each mutation in the feed as the
+// framework does, so the case does not lean on whatever else the
+// framework's submit path happens to mark dirty.
+func testReleaseVoteParity(t *testing.T) {
+	l := newLockstep(t, 2)
+	l.qualify("a", 4, 0)
+	l.qualify("c", 4, 1)
+	ic := l.cached
+	cached, fresh := newScheduler(true, 1), newScheduler(false, 1)
+	run := func(workers ...string) map[string]int {
+		t.Helper()
+		var active []*workerInfo
+		for _, w := range workers {
+			info, _ := ic.worker(w, false)
+			active = append(active, info)
+		}
+		ic.mu.RLock()
+		defer ic.mu.RUnlock()
+		got := cached.compute(ic, active)
+		if want := fresh.compute(ic, active); !maps.Equal(got, want) {
+			t.Fatalf("scheme over %v: cached %v != fresh %v", workers, got, want)
+		}
+		return got
 	}
-	submit("a", 0, task.Yes)
-	if !cached.Job().Touched("c", 0) {
-		t.Fatal("c should still hold t0")
+	job := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ic.events.note(0)
 	}
-	if tid, ok := request("b"); !ok || tid != 0 || !cached.Job().PendingTest("b", 0) {
-		t.Fatalf("b got (%d,%v), want a Step-3 test on t0", tid, ok)
+	job(ic.job.Assign("c", 0))
+	if got := run("a"); got["a"] != 0 {
+		t.Fatalf("scheme over {a} = %v, want a on t0", got)
+	}
+	job(ic.job.Assign("a", 0))
+	ic.job.Release("c")
+	job(nil)
+	_, _, err := ic.job.Submit("a", 0, task.Yes)
+	job(err)
+	if got := run("a", "c"); got["a"] != 1 || got["c"] != 1 {
+		t.Fatalf("scheme over {a, c} = %v, want both on t1", got)
 	}
 }
 
@@ -258,6 +399,7 @@ func runSchemeParity(t *testing.T, ds *task.Dataset, cached, fresh *ICrowd, work
 			t.Fatalf("step %d worker %s: cached (%d,%v) != fresh (%d,%v)",
 				step, w, ct, cok, ft, fok)
 		}
+		checkCapacity(t, cached)
 		if !cok {
 			continue
 		}

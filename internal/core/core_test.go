@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"icrowd/internal/aggregate"
+	"icrowd/internal/estimate"
 	"icrowd/internal/ppr"
 	"icrowd/internal/simgraph"
 	"icrowd/internal/task"
@@ -227,8 +229,9 @@ func TestQualificationFlowAndRejection(t *testing.T) {
 	if ic.Rejected("good") {
 		t.Fatal("perfect worker should not be rejected")
 	}
-	if base := ic.Estimator().Base("good"); base != 1 {
-		t.Fatalf("good base = %v", base)
+	// With no graph evidence an estimate is exactly the base accuracy.
+	if est := ic.Estimator(); est.PriorAt(est.Ordinal("good")) != 1 {
+		t.Fatalf("good base = %v", est.PriorAt(est.Ordinal("good")))
 	}
 	// "bad" answers every qualification task incorrectly.
 	for range qual {
@@ -331,17 +334,50 @@ func TestConsensusFeedsEstimator(t *testing.T) {
 	ic, _ := New(ds, b, cfg)
 	accs := map[string]float64{"w1": 0.95, "w2": 0.9, "w3": 0.85}
 	runWorkers(t, ic, ds, accs, 5)
-	// After the run, workers must have consensus observations beyond the 3
-	// qualification tasks.
+	// After the run, consensus observations beyond the 3 qualification
+	// tasks must have moved some worker's estimates away from what
+	// qualification alone gives.
+	ref := qualificationOnly(ic, b)
 	found := false
 	for _, w := range []string{"w1", "w2", "w3"} {
-		if len(ic.Estimator().Observed(w)) > 3 {
+		if !sameEstimates(ic.Estimator(), ref, w, ds.Len()) {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("no consensus observations recorded")
 	}
+}
+
+// qualificationOnly rebuilds the estimator that qualification alone leaves
+// behind: every worker's graded warm-up answers, observed in serving order,
+// and the base accuracy they earn once all are in.
+func qualificationOnly(ic *ICrowd, b *ppr.Basis) *estimate.Estimator {
+	ref := estimate.New(b, ic.cfg.Lambda)
+	for _, info := range ic.order {
+		for _, t := range ic.qual {
+			if ans, ok := info.qualAnswers[t]; ok {
+				correct, _ := ic.warm.Grade(t, ans)
+				_ = ref.ObserveQualification(info.id, t, correct)
+			}
+		}
+		if len(info.qualAnswers) == len(ic.qual) {
+			avg, _ := ic.warm.Evaluate(info.qualAnswers)
+			ref.SetBase(info.id, avg)
+		}
+	}
+	return ref
+}
+
+// sameEstimates reports whether worker w estimates bit-identically in a
+// and b on all n tasks.
+func sameEstimates(a, b *estimate.Estimator, w string, n int) bool {
+	for t := 0; t < n; t++ {
+		if math.Float64bits(a.Accuracy(w, t)) != math.Float64bits(b.Accuracy(w, t)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestQFOnlyDoesNotUpdateAfterQualification(t *testing.T) {
@@ -352,9 +388,12 @@ func TestQFOnlyDoesNotUpdateAfterQualification(t *testing.T) {
 	ic, _ := New(ds, b, cfg)
 	accs := map[string]float64{"w1": 0.95, "w2": 0.9, "w3": 0.85}
 	runWorkers(t, ic, ds, accs, 5)
+	// Estimation is frozen after qualification: every estimate is exactly
+	// what the qualification answers alone give.
+	ref := qualificationOnly(ic, b)
 	for _, w := range []string{"w1", "w2", "w3"} {
-		if n := len(ic.Estimator().Observed(w)); n > 3 {
-			t.Fatalf("QF-Only recorded %d observations for %s", n, w)
+		if !sameEstimates(ic.Estimator(), ref, w, ds.Len()) {
+			t.Fatalf("QF-Only recorded observations for %s beyond qualification", w)
 		}
 	}
 }

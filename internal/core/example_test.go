@@ -37,7 +37,8 @@ func Example() {
 	}
 	fmt.Printf("oracle answered %d microtasks\n", answered)
 	fmt.Printf("oracle qualified: %v\n", !ic.Rejected("oracle"))
-	fmt.Printf("oracle base accuracy: %.1f\n", ic.Estimator().Base("oracle"))
+	est := ic.Estimator()
+	fmt.Printf("oracle base accuracy: %.1f\n", est.PriorAt(est.Ordinal("oracle")))
 	// Output:
 	// oracle answered 12 microtasks
 	// oracle qualified: true

@@ -306,8 +306,9 @@ func (ic *ICrowd) requestTask(worker string) (int, bool) {
 	}
 	if t, ok := ic.takeSchemeEntry(worker); ok {
 		ic.mu.Lock()
-		_, completed := ic.job.Completed(t)
-		if !completed && !ic.job.Touched(worker, t) {
+		// The entry may be stale: a Step-3 fallback since the scheme run can
+		// have taken the slot it reserved (Capacity is 0 once completed).
+		if ic.job.Capacity(t) > 0 && !ic.job.Touched(worker, t) {
 			if err := ic.job.Assign(worker, t); err == nil {
 				ic.events.note(t)
 				ic.mu.Unlock()
@@ -448,7 +449,9 @@ func (ic *ICrowd) requestBestEffort(worker string) (int, bool) {
 // left out gets a *test* microtask. Globally completed microtasks are the
 // preferred targets — their consensus grades the answer immediately and the
 // extra vote never perturbs the k-vote consensus. If none is eligible the
-// framework falls back to a regular assignment so the job cannot stall.
+// framework falls back to a regular assignment so the job cannot stall,
+// on a microtask with capacity left: like every regular assignment it must
+// keep votes plus holders within k.
 //
 // Qualification microtasks are completed from the start but never test
 // targets: a worker reaches Step 3 only after answering all of them.
@@ -476,7 +479,7 @@ func (ic *ICrowd) performanceTest(worker string) (int, bool) {
 	pick = assign.NewTestPick()
 	for t := range ic.job.tasks {
 		s := &ic.job.tasks[t]
-		if s.done || s.touched(worker) || !ic.eligible(worker, t) {
+		if ic.job.Capacity(t) == 0 || s.touched(worker) || !ic.eligible(worker, t) {
 			continue
 		}
 		sum := ic.sumAccuracy(s.votes, s.holders, t)

@@ -88,7 +88,7 @@ func TestLazyBasisMatchesFullBasis(t *testing.T) {
 	// New pre-solves the qualification seeds so warm-up observations can be
 	// folded in immediately.
 	for _, q := range qual {
-		if lazyBasis.Vec(q) == nil {
+		if lazyBasis.Vec(q).Len() == 0 {
 			t.Fatalf("qualification seed %d not solved at construction", q)
 		}
 	}

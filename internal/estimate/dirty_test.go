@@ -63,8 +63,8 @@ func TestDirtyTrackingObserve(t *testing.T) {
 	// vectors: the tasks where w's estimate actually moved.
 	want := map[int]bool{}
 	for _, seed := range []int{0, 1} {
-		for tid := range b.Vec(seed) {
-			want[tid] = true
+		for _, tid := range b.Support(seed) {
+			want[int(tid)] = true
 		}
 	}
 	n, got := drainFeed(t, e)
@@ -87,8 +87,8 @@ func TestDirtyTrackingObserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = map[int]bool{}
-	for tid := range b.Vec(0) {
-		want[tid] = true
+	for _, tid := range b.Support(0) {
+		want[int(tid)] = true
 	}
 	if n, tasks := drainFeed(t, e); n != 1 || !reflect.DeepEqual(tasks, want) {
 		t.Fatalf("changed re-observe: %d dirty workers, tasks %v; want 1, %v", n, tasks, want)

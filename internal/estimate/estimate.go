@@ -17,8 +17,8 @@
 // as an estimate" — with zero graph evidence, p_i^w is exactly base_w. Both
 // numerator and denominator are plain Lemma-3 linear combinations, so the
 // O(|completed| * nnz) online cost and the support/influence semantics of
-// Section 5 are unchanged. The raw combination remains available via
-// RawCombine for verification against the closed form.
+// Section 5 are unchanged. Each observation walks one sorted basis row
+// (ppr.Row) in place.
 package estimate
 
 import (
@@ -143,9 +143,6 @@ func New(basis *ppr.Basis, lambda float64) *Estimator {
 	}
 }
 
-// NumTasks returns the number of tasks covered by the basis.
-func (e *Estimator) NumTasks() int { return e.basis.N() }
-
 // EnsureWorker registers a worker with the given warm-up base accuracy if
 // unknown; it returns whether the worker was newly added.
 func (e *Estimator) EnsureWorker(id string, base float64) bool {
@@ -188,20 +185,6 @@ func (e *Estimator) SetBase(id string, base float64) {
 	}
 }
 
-// Base returns the worker's warm-up base accuracy (DefaultBase if unknown).
-func (e *Estimator) Base(id string) float64 {
-	if w, ok := e.ws[id]; ok {
-		return w.base
-	}
-	return DefaultBase
-}
-
-// Known reports whether the worker has been registered.
-func (e *Estimator) Known(id string) bool {
-	_, ok := e.ws[id]
-	return ok
-}
-
 // Workers returns all registered worker IDs, sorted.
 func (e *Estimator) Workers() []string {
 	out := make([]string, 0, len(e.ws))
@@ -237,40 +220,41 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 	q = stats.Clamp01(q)
 	e.EnsureWorker(id, DefaultBase)
 	w := e.ws[id]
-	vec := e.basis.Vec(taskID)
+	row := e.basis.Vec(taskID)
 	if old, ok := w.observed[taskID]; ok {
 		delta := q - old
 		if delta != 0 {
-			for t, p := range vec {
-				e.support[t][w.slot[t]].num += delta * p
+			for k, t := range row.Idx {
+				e.support[t][w.slot[int(t)]].num += delta * row.Val[k]
 			}
-			e.markDirty(w, vec)
+			e.markDirty(w, row)
 		}
 	} else {
-		for t, p := range vec {
-			i, ok := w.slot[t]
+		for k, t := range row.Idx {
+			i, ok := w.slot[int(t)]
 			if !ok {
 				i = int32(len(e.support[t]))
-				w.slot[t] = i
+				w.slot[int(t)] = i
 				e.support[t] = append(e.support[t], evidence{w: w})
 				e.inSupport[t].Add(w.ord)
 			}
 			ev := &e.support[t][i]
+			p := row.Val[k]
 			ev.num += q * p
 			ev.den += p
 		}
-		e.markDirty(w, vec)
+		e.markDirty(w, row)
 	}
 	w.observed[taskID] = q
 	return nil
 }
 
 // markDirty records that the worker's estimate moved on every task in the
-// basis vector's support.
-func (e *Estimator) markDirty(w *workerState, vec map[int]float64) {
+// basis row's support.
+func (e *Estimator) markDirty(w *workerState, row ppr.Row) {
 	e.markWorkerDirty(w)
-	for t := range vec {
-		e.dirtyT.Add(t)
+	for _, t := range row.Idx {
+		e.dirtyT.Add(int(t))
 	}
 }
 
@@ -428,25 +412,11 @@ func (e *Estimator) EachSupport(taskID int, fn func(ord int, id string, acc floa
 	}
 }
 
-// Mass returns the total observation mass sum_j p_{t_j}(taskID) that worker
-// id's completed microtasks project onto taskID — the graph-evidence weight
-// behind the estimate.
-func (e *Estimator) Mass(id string, taskID int) float64 {
-	if w, ok := e.ws[id]; ok {
-		return e.evidenceOn(w, taskID).den
-	}
-	return 0
-}
-
-// EffectiveCounts converts the observation mass on taskID into effective
-// correct/incorrect counts (N1, N0) for the Step-3 Beta-variance test. The
-// restart probability alpha/(1+alpha) is the mass one observation deposits
-// on itself, so dividing by it calibrates "one completed microtask at the
-// seed" to one effective count.
-func (e *Estimator) EffectiveCounts(id string, taskID int) (n1, n0 float64) {
-	return e.effectiveCounts(e.worker(e.Ordinal(id)), taskID)
-}
-
+// effectiveCounts converts the worker's observation mass on taskID into
+// effective correct/incorrect counts (N1, N0) for the Step-3 Beta-variance
+// test. The restart probability alpha/(1+alpha) is the mass one observation
+// deposits on itself, so dividing by it calibrates "one completed microtask
+// at the seed" to one effective count.
 func (e *Estimator) effectiveCounts(w *workerState, taskID int) (n1, n0 float64) {
 	if w == nil {
 		return 0, 0
@@ -465,54 +435,10 @@ func (e *Estimator) effectiveCounts(w *workerState, taskID int) (n1, n0 float64)
 	return num, den - num
 }
 
-// Uncertainty returns the Step-3 estimation variance for worker id on
-// taskID: the variance of Beta(N1+1, N0+1) over the effective counts.
-func (e *Estimator) Uncertainty(id string, taskID int) float64 {
-	return e.UncertaintyAt(e.Ordinal(id), taskID)
-}
-
-// UncertaintyAt is Uncertainty for the worker with ordinal ord.
+// UncertaintyAt returns the Step-3 estimation variance for the worker with
+// ordinal ord on taskID: the variance of Beta(N1+1, N0+1) over the
+// effective counts of effectiveCounts.
 func (e *Estimator) UncertaintyAt(ord, taskID int) float64 {
 	n1, n0 := e.effectiveCounts(e.worker(ord), taskID)
 	return stats.UncertaintyVariance(n1, n0)
-}
-
-// Observed returns a copy of the worker's observed accuracies q^w.
-func (e *Estimator) Observed(id string) map[int]float64 {
-	w, ok := e.ws[id]
-	if !ok {
-		return nil
-	}
-	out := make(map[int]float64, len(w.observed))
-	for k, v := range w.observed {
-		out[k] = v
-	}
-	return out
-}
-
-// HasObserved reports whether worker id has an observation on taskID.
-func (e *Estimator) HasObserved(id string, taskID int) bool {
-	w, ok := e.ws[id]
-	if !ok {
-		return false
-	}
-	_, ok = w.observed[taskID]
-	return ok
-}
-
-// BasisResult exposes how the basis solve for taskID terminated, so
-// consumers of estimates can tell a converged combination from one built on
-// truncated vectors.
-func (e *Estimator) BasisResult(taskID int) ppr.Result {
-	return e.basis.SolveResult(taskID)
-}
-
-// RawCombine returns the paper's unnormalized Lemma-3 combination
-// sum_j q_j p_{t_j} for worker id, for verification against ppr.DenseSolve.
-func (e *Estimator) RawCombine(id string) map[int]float64 {
-	w, ok := e.ws[id]
-	if !ok {
-		return nil
-	}
-	return e.basis.Combine(w.observed)
 }

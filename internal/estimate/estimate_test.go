@@ -306,7 +306,8 @@ func TestEffectiveCountsAndUncertainty(t *testing.T) {
 
 func TestRawCombineMatchesDenseSolve(t *testing.T) {
 	// The estimator's raw Lemma-3 combination must equal solving Eq. (4)
-	// directly with the observed vector (on an exact basis).
+	// directly with the observed vector (on an exact basis): the dense
+	// solution is Lemma 1's closed form.
 	ds := task.ProductMatching()
 	g, err := simgraph.Build(ds.Len(), simgraph.JaccardMetric(ds), 0.5, 0)
 	if err != nil {
@@ -331,7 +332,7 @@ func TestRawCombineMatchesDenseSolve(t *testing.T) {
 	for id, v := range obs {
 		q[id] = v
 	}
-	dense, _, err := ppr.DenseSolve(g, q, o)
+	dense, err := ppr.ClosedForm(g, q, o.Alpha)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package hotbench defines the shared benchmark bodies for the
 // estimation/assignment hot path. They are run two ways: as ordinary
 // `go test -bench` benchmarks (hotpath_bench_test.go at the repo root,
-// Benchmark{Precompute,ComputeScheme,PerformanceTest,AssignThroughput}) and via
+// Benchmark{Precompute,CoreNew,ComputeScheme,PerformanceTest,AssignThroughput}) and via
 // testing.Benchmark by the icrowd-bench command, which writes the
 // machine-readable BENCH_hotpath.json report. Keeping one copy of each
 // body guarantees the report measures exactly what the named benchmarks
@@ -82,6 +82,30 @@ func PrecomputeDelta() func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			basis.Invalidate(missing)
 			if _, err := basis.SolveMissing(g, []int{missing}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// CoreNew returns the BenchmarkCoreNew body: core.New on ItemCompare with
+// the default configuration, so InfQF (Algorithm 4) picks the qualification
+// microtasks over the full basis — the per-project setup a server pays when
+// a project is created and again when it is resumed on restart.
+func CoreNew() func(*testing.B) {
+	return func(b *testing.B) {
+		ds, g, err := Graph()
+		if err != nil {
+			b.Fatal(err)
+		}
+		basis, err := ppr.Precompute(g, ppr.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.New(ds, basis, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package ppr
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -20,20 +21,40 @@ func parityGraph(t testing.TB, seed int64) *simgraph.Graph {
 	return g
 }
 
-// identicalVecs asserts two sparse vectors are bit-identical (same keys,
-// same float64 bits — not merely close).
-func identicalVecs(t *testing.T, taskID int, a, b map[int]float64) {
+// identicalRows asserts two rows are bit-identical: the same indices in the
+// same order and the same float64 bits, not merely close values.
+func identicalRows(t *testing.T, taskID int, a, b Row) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("task %d: nnz mismatch %d vs %d", taskID, len(a), len(b))
+	if a.Len() != b.Len() || len(a.Val) != len(b.Val) {
+		t.Fatalf("task %d: nnz mismatch %d vs %d", taskID, a.Len(), b.Len())
 	}
-	for k, va := range a {
-		vb, ok := b[k]
-		if !ok {
-			t.Fatalf("task %d: entry %d missing in parallel result", taskID, k)
+	for k := range a.Idx {
+		if a.Idx[k] != b.Idx[k] {
+			t.Fatalf("task %d position %d: index %d != %d", taskID, k, a.Idx[k], b.Idx[k])
 		}
-		if math.Float64bits(va) != math.Float64bits(vb) {
-			t.Fatalf("task %d entry %d: %v != %v (bit mismatch)", taskID, k, va, vb)
+		if math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+			t.Fatalf("task %d entry %d: %v != %v (bit mismatch)", taskID, a.Idx[k], a.Val[k], b.Val[k])
+		}
+	}
+}
+
+// rowMatchesMap asserts row r is the sparse vector want, bit for bit, laid
+// out in strictly ascending index order.
+func rowMatchesMap(t *testing.T, taskID int, want map[int]float64, r Row) {
+	t.Helper()
+	if r.Len() != len(want) || len(r.Val) != len(want) {
+		t.Fatalf("task %d: row has %d indices and %d values, want %d entries", taskID, r.Len(), len(r.Val), len(want))
+	}
+	for k, j := range r.Idx {
+		if k > 0 && j <= r.Idx[k-1] {
+			t.Fatalf("task %d: row indices not ascending at position %d (%d after %d)", taskID, k, j, r.Idx[k-1])
+		}
+		x, ok := want[int(j)]
+		if !ok {
+			t.Fatalf("task %d: row holds entry %d the reference lacks", taskID, j)
+		}
+		if math.Float64bits(x) != math.Float64bits(r.Val[k]) {
+			t.Fatalf("task %d entry %d: reference %v != row %v (bit mismatch)", taskID, j, x, r.Val[k])
 		}
 	}
 }
@@ -61,7 +82,7 @@ func TestPrecomputeParallelParity(t *testing.T) {
 				t.Fatalf("seed %d workers %d: N %d != %d", seed, workers, got.N(), want.N())
 			}
 			for i := 0; i < got.N(); i++ {
-				identicalVecs(t, i, want.Vec(i), got.Vec(i))
+				identicalRows(t, i, want.Vec(i), got.Vec(i))
 			}
 		}
 	}
@@ -81,7 +102,9 @@ func TestSparseSolveDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		identicalVecs(t, seed, a, b)
+		if !maps.Equal(a, b) {
+			t.Fatalf("seed %d: repeated solves differ", seed)
+		}
 	}
 }
 
@@ -103,12 +126,7 @@ func TestPrecomputePartialParallelParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < g.N(); i++ {
-		if (want.Vec(i) == nil) != (got.Vec(i) == nil) {
-			t.Fatalf("task %d: nil mismatch", i)
-		}
-		if want.Vec(i) != nil {
-			identicalVecs(t, i, want.Vec(i), got.Vec(i))
-		}
+		identicalRows(t, i, want.Vec(i), got.Vec(i))
 	}
 }
 

@@ -1,17 +1,19 @@
 // Package ppr implements the personalized-PageRank machinery of Section 3.1:
-// the iterative solver for Eq. (4),
+// Eq. (4),
 //
 //	p = 1/(1+alpha) * S' p + alpha/(1+alpha) * q,
 //
-// whose fixed point is the closed form of Lemma 1, a sparse localized solver
-// used to precompute the per-task basis vectors p_{t_i}, and the linearity
-// combination of Lemma 3 that makes online estimation O(|completed|·nnz).
+// whose fixed point is the closed form of Lemma 1, solved per task by a
+// sparse localized push solver into the basis vectors p_{t_i}. A Basis
+// stores each vector as a sorted sparse row, the form both readers walk:
+// the Lemma-3 combination behind online estimation (internal/estimate) and
+// the influence maximization of qualification selection (internal/qualify).
 package ppr
 
 import (
 	"errors"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,135 +103,30 @@ func (o Options) workerCount(n int) int {
 	return w
 }
 
-// DenseSolve iterates Eq. (4) for an arbitrary observed vector q (length
-// g.N()) and returns the estimated accuracy vector p together with how the
-// iteration terminated. Callers that need the true fixed point must check
-// Result.Converged: with MaxIter exhausted the vector is only the best
-// iterate reached.
-func DenseSolve(g *simgraph.Graph, q []float64, o Options) ([]float64, Result, error) {
-	if err := o.validate(); err != nil {
-		return nil, Result{}, err
-	}
-	if len(q) != g.N() {
-		return nil, Result{}, errors.New("ppr: q length mismatch")
-	}
-	c := 1 / (1 + o.Alpha)
-	restart := o.Alpha / (1 + o.Alpha)
-	p := make([]float64, g.N())
-	copy(p, q) // paper: "we set vector p as the observed one q initially"
-	next := make([]float64, g.N())
-	var res Result
-	for res.Iters < o.MaxIter {
-		res.Iters++
-		var delta float64
-		for i := 0; i < g.N(); i++ {
-			var acc float64
-			g.Neighbors(i, func(j int, _, norm float64) {
-				acc += norm * p[j]
-			})
-			v := c*acc + restart*q[i]
-			d := v - p[i]
-			if d < 0 {
-				d = -d
-			}
-			delta += d
-			next[i] = v
-		}
-		p, next = next, p
-		res.Residual = delta
-		if delta <= o.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	if !res.Converged {
-		mUnconverged.Inc()
-	}
-	return p, res, nil
+// Row is one basis vector p_{t_i} in sparse form: the task indices it
+// reaches in ascending order, with the aligned values. Rows handed out by a
+// Basis are read-only views of its storage. The zero Row is an unsolved
+// seed; a solved one always holds at least the seed's own entry.
+type Row struct {
+	Idx []int32
+	Val []float64
 }
 
-// SparseSolve computes the basis vector p_{t_seed}: the fixed point of
-// Eq. (4) when q = e_seed. It expands the truncated Neumann series
-// restart * sum_k (c S')^k e_seed with a sparse frontier, so the cost is
-// proportional to the seed's graph neighborhood rather than to N.
-//
-// Frontier nodes are expanded in ascending ID order, fixing the
-// floating-point accumulation order: the result is bit-identical across
-// runs. SparseSolve is the reference implementation the allocation-lean
-// push solver (Solver.Solve) is pinned bit-exact against; the precompute
-// hot path uses the push solver, this one exists for verification.
-func SparseSolve(g *simgraph.Graph, seed int, o Options) (map[int]float64, Result, error) {
-	if err := o.validate(); err != nil {
-		return nil, Result{}, err
-	}
-	if seed < 0 || seed >= g.N() {
-		return nil, Result{}, errors.New("ppr: seed out of range")
-	}
-	c := 1 / (1 + o.Alpha)
-	restart := o.Alpha / (1 + o.Alpha)
-
-	p := map[int]float64{seed: restart}
-	frontier := map[int]float64{seed: restart}
-	var order []int
-	res := Result{Residual: restart}
-	for res.Iters < o.MaxIter && len(frontier) > 0 {
-		res.Iters++
-		next := make(map[int]float64, len(frontier)*2)
-		order = order[:0]
-		for i := range frontier {
-			order = append(order, i)
-		}
-		sort.Ints(order)
-		for _, i := range order {
-			x := frontier[i]
-			g.Neighbors(i, func(j int, _, norm float64) {
-				next[j] += c * norm * x
-			})
-		}
-		order = order[:0]
-		for j := range next {
-			order = append(order, j)
-		}
-		sort.Ints(order)
-		var mass float64
-		for _, j := range order {
-			x := next[j]
-			if x < o.DropTol && -x < o.DropTol {
-				delete(next, j)
-				continue
-			}
-			p[j] += x
-			if x < 0 {
-				mass -= x
-			} else {
-				mass += x
-			}
-		}
-		res.Residual = mass
-		if mass <= o.Tol {
-			res.Converged = true
-			break
-		}
-		frontier = next
-	}
-	if !res.Converged {
-		mUnconverged.Inc()
-	}
-	return p, res, nil
-}
+// Len returns the number of stored entries.
+func (r Row) Len() int { return len(r.Idx) }
 
 // Basis holds the precomputed vectors p_{t_i} for every task (the offline
 // phase of Algorithm 1), together with each solve's termination Result.
-// It may be partial (nil vectors for never-solved seeds) and grown
+// It may be partial (empty rows for never-solved seeds) and grown
 // incrementally with SolveMissing/Extend.
 type Basis struct {
 	opts Options
-	vecs []map[int]float64
+	rows []Row
 	res  []Result
 
 	// solver is the cached scratch for incremental SolveMissing calls, so
 	// the steady-state delta path (one newly observed seed at a time)
-	// allocates only its result map. Valid only for solverGraph.
+	// allocates only its result row. Valid only for solverGraph.
 	solver      *Solver
 	solverGraph *simgraph.Graph
 }
@@ -241,28 +138,28 @@ func Precompute(g *simgraph.Graph, o Options) (*Basis, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	b := &Basis{opts: o, vecs: make([]map[int]float64, g.N()), res: make([]Result, g.N())}
+	b := &Basis{opts: o, rows: make([]Row, g.N()), res: make([]Result, g.N())}
 	seeds := make([]int, g.N())
 	for i := range seeds {
 		seeds[i] = i
 	}
-	if err := solveSeeds(g, o, seeds, b.vecs, b.res, nil); err != nil {
+	if err := solveSeeds(g, o, seeds, b.rows, b.res, nil); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
 // PrecomputePartial computes basis vectors only for the given seed tasks
-// (others stay nil). The Figure-10 scalability experiment uses it: online
-// estimation and assignment only ever read the vectors of *observed* tasks,
-// so precomputing all N vectors of a million-task graph is unnecessary.
-// Like Precompute it fans out across Options.Workers solvers with
-// deterministic merge order.
+// (others stay unsolved). The Figure-10 scalability experiment uses it:
+// online estimation and assignment only ever read the vectors of *observed*
+// tasks, so precomputing all N vectors of a million-task graph is
+// unnecessary. Like Precompute it fans out across Options.Workers solvers
+// with deterministic merge order.
 func PrecomputePartial(g *simgraph.Graph, o Options, seeds []int) (*Basis, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	b := &Basis{opts: o, vecs: make([]map[int]float64, g.N()), res: make([]Result, g.N())}
+	b := &Basis{opts: o, rows: make([]Row, g.N()), res: make([]Result, g.N())}
 	// Deduplicate up front so no two pool workers ever write the same index.
 	uniq := make([]int, 0, len(seeds))
 	seen := make(map[int]bool, len(seeds))
@@ -275,7 +172,7 @@ func PrecomputePartial(g *simgraph.Graph, o Options, seeds []int) (*Basis, error
 			uniq = append(uniq, s)
 		}
 	}
-	if err := solveSeeds(g, o, uniq, b.vecs, b.res, nil); err != nil {
+	if err := solveSeeds(g, o, uniq, b.rows, b.res, nil); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -286,32 +183,23 @@ func PrecomputePartial(g *simgraph.Graph, o Options, seeds []int) (*Basis, error
 // solved (and duplicates) are skipped, so callers can feed it every newly
 // observed task without bookkeeping; it returns how many vectors were
 // actually solved. The scratch solver is cached across calls, making the
-// steady-state cost of one new seed its graph neighborhood plus one map
-// allocation (BenchmarkPrecomputeDelta pins it >= 10x cheaper than a full
+// steady-state cost of one new seed its graph neighborhood plus its row
+// (BenchmarkPrecomputeDelta pins it >= 10x cheaper than a full
 // Precompute). Solved vectors are bit-identical to what Precompute would
 // produce. Not safe for concurrent use with readers of the basis.
 func (b *Basis) SolveMissing(g *simgraph.Graph, seeds []int) (int, error) {
-	if g.N() != len(b.vecs) {
+	if g.N() != len(b.rows) {
 		return 0, errors.New("ppr: graph does not match basis size")
 	}
 	uniq := make([]int, 0, len(seeds))
 	for _, s := range seeds {
-		if s < 0 || s >= len(b.vecs) {
+		if s < 0 || s >= len(b.rows) {
 			return 0, errors.New("ppr: seed out of range")
 		}
-		if b.vecs[s] != nil {
+		if b.rows[s].Len() > 0 || slices.Contains(uniq, s) {
 			continue
 		}
-		dup := false
-		for _, u := range uniq {
-			if u == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			uniq = append(uniq, s)
-		}
+		uniq = append(uniq, s)
 	}
 	if len(uniq) == 0 {
 		return 0, nil
@@ -320,7 +208,7 @@ func (b *Basis) SolveMissing(g *simgraph.Graph, seeds []int) (int, error) {
 		b.solver = NewSolver(g)
 		b.solverGraph = g
 	}
-	if err := solveSeeds(g, b.opts, uniq, b.vecs, b.res, b.solver); err != nil {
+	if err := solveSeeds(g, b.opts, uniq, b.rows, b.res, b.solver); err != nil {
 		return 0, err
 	}
 	return len(uniq), nil
@@ -331,11 +219,11 @@ func (b *Basis) SolveMissing(g *simgraph.Graph, seeds []int) (int, error) {
 // with SolveMissing to fill the ones that get observed. It returns the
 // number of slots added; shrinking is an error.
 func (b *Basis) Extend(g *simgraph.Graph) (int, error) {
-	if g.N() < len(b.vecs) {
+	if g.N() < len(b.rows) {
 		return 0, errors.New("ppr: graph smaller than basis")
 	}
-	added := g.N() - len(b.vecs)
-	b.vecs = append(b.vecs, make([]map[int]float64, added)...)
+	added := g.N() - len(b.rows)
+	b.rows = append(b.rows, make([]Row, added)...)
 	b.res = append(b.res, make([]Result, added)...)
 	return added, nil
 }
@@ -344,7 +232,7 @@ func (b *Basis) Extend(g *simgraph.Graph) (int, error) {
 // re-Extend with the new graph and Invalidate the affected neighborhoods)
 // so the next SolveMissing recomputes it.
 func (b *Basis) Invalidate(i int) {
-	b.vecs[i] = nil
+	b.rows[i] = Row{}
 	b.res[i] = Result{}
 }
 
@@ -353,7 +241,7 @@ func (b *Basis) Invalidate(i int) {
 const solveChunk = 16
 
 // solveSeeds solves every seed in the list (assumed valid and distinct)
-// with the push solver and stores vecs[seed]/res[seed]. Empty batches
+// with the push solver and stores rows[seed]/res[seed]. Empty batches
 // return before touching any instrument, so no-op calls (all-duplicate
 // PrecomputePartial input, SolveMissing with nothing missing) cannot
 // pollute the batch-latency histogram. With one worker it runs inline on
@@ -364,7 +252,7 @@ const solveChunk = 16
 // failing seed position, so the outcome is independent of goroutine
 // scheduling — and the push solver's fixed accumulation order makes it
 // bit-identical for any worker count.
-func solveSeeds(g *simgraph.Graph, o Options, seeds []int, vecs []map[int]float64, res []Result, shared *Solver) error {
+func solveSeeds(g *simgraph.Graph, o Options, seeds []int, rows []Row, res []Result, shared *Solver) error {
 	if len(seeds) == 0 {
 		return nil
 	}
@@ -380,12 +268,12 @@ func solveSeeds(g *simgraph.Graph, o Options, seeds []int, vecs []map[int]float6
 			sv = NewSolver(g)
 		}
 		for _, s := range seeds {
-			v, r, err := sv.Solve(s, o)
+			r, rr, err := sv.Solve(s, o)
 			if err != nil {
 				return err
 			}
-			vecs[s] = v
-			res[s] = r
+			rows[s] = r
+			res[s] = rr
 		}
 		return nil
 	}
@@ -407,13 +295,13 @@ func solveSeeds(g *simgraph.Graph, o Options, seeds []int, vecs []map[int]float6
 					end = len(seeds)
 				}
 				for k := start; k < end; k++ {
-					v, r, err := sv.Solve(seeds[k], o)
+					r, rr, err := sv.Solve(seeds[k], o)
 					if err != nil {
 						errs[k] = err
 						continue
 					}
-					vecs[seeds[k]] = v
-					res[seeds[k]] = r
+					rows[seeds[k]] = r
+					res[seeds[k]] = rr
 				}
 			}
 		}()
@@ -428,17 +316,23 @@ func solveSeeds(g *simgraph.Graph, o Options, seeds []int, vecs []map[int]float6
 }
 
 // N returns the number of tasks the basis covers.
-func (b *Basis) N() int { return len(b.vecs) }
+func (b *Basis) N() int { return len(b.rows) }
 
 // Options returns the solver options the basis was built with.
 func (b *Basis) Options() Options { return b.opts }
 
-// Vec returns the basis vector p_{t_i} as a sparse map. Callers must not
-// mutate it.
-func (b *Basis) Vec(i int) map[int]float64 { return b.vecs[i] }
+// Vec returns the basis vector p_{t_i} as a sorted sparse row (the zero Row
+// when seed i is unsolved). It aliases the basis: callers must not mutate
+// it.
+func (b *Basis) Vec(i int) Row { return b.rows[i] }
+
+// Support returns the task IDs reachable (nonzero) from seed i's basis
+// vector, ascending: Vec(i).Idx, with the same aliasing rule. Used by the
+// qualification influence function (Section 5).
+func (b *Basis) Support(i int) []int32 { return b.rows[i].Idx }
 
 // SolveResult returns how task i's basis solve terminated. Never-solved
-// seeds (nil Vec) report the zero Result, i.e. not converged.
+// seeds (empty Vec) report the zero Result, i.e. not converged.
 func (b *Basis) SolveResult(i int) Result { return b.res[i] }
 
 // Converged reports whether every *solved* basis vector reached Tol.
@@ -446,8 +340,8 @@ func (b *Basis) SolveResult(i int) Result { return b.res[i] }
 // error, so callers gating on basis quality should check this (the server's
 // readiness probe does).
 func (b *Basis) Converged() bool {
-	for i, v := range b.vecs {
-		if v != nil && !b.res[i].Converged {
+	for i, r := range b.rows {
+		if r.Len() > 0 && !b.res[i].Converged {
 			return false
 		}
 	}
@@ -458,8 +352,8 @@ func (b *Basis) Converged() bool {
 // ascending order.
 func (b *Basis) Unconverged() []int {
 	var out []int
-	for i, v := range b.vecs {
-		if v != nil && !b.res[i].Converged {
+	for i, r := range b.rows {
+		if r.Len() > 0 && !b.res[i].Converged {
 			out = append(out, i)
 		}
 	}
@@ -470,61 +364,10 @@ func (b *Basis) Unconverged() []int {
 // the complement SolveMissing would fill.
 func (b *Basis) Missing() []int {
 	var out []int
-	for i, v := range b.vecs {
-		if v == nil {
+	for i, r := range b.rows {
+		if r.Len() == 0 {
 			out = append(out, i)
 		}
 	}
-	return out
-}
-
-// NNZ returns the number of stored nonzeros across all basis vectors.
-func (b *Basis) NNZ() int {
-	var n int
-	for _, v := range b.vecs {
-		n += len(v)
-	}
-	return n
-}
-
-// Combine applies Lemma 3: given sparse observed accuracies q (task -> q_i),
-// it returns p* = sum_i q_i * p_{t_i} as a sparse map.
-func (b *Basis) Combine(q map[int]float64) map[int]float64 {
-	out := make(map[int]float64, 4*len(q))
-	for i, qi := range q {
-		if qi == 0 {
-			continue
-		}
-		for j, pj := range b.vecs[i] {
-			out[j] += qi * pj
-		}
-	}
-	return out
-}
-
-// CombineInto is Combine writing into a caller-provided map (cleared first),
-// avoiding per-call allocation on the assignment hot path.
-func (b *Basis) CombineInto(q map[int]float64, out map[int]float64) {
-	for k := range out {
-		delete(out, k)
-	}
-	for i, qi := range q {
-		if qi == 0 {
-			continue
-		}
-		for j, pj := range b.vecs[i] {
-			out[j] += qi * pj
-		}
-	}
-}
-
-// Support returns the sorted task IDs reachable (nonzero) from seed i's
-// basis vector. Used by the qualification influence function (Section 5).
-func (b *Basis) Support(i int) []int {
-	out := make([]int, 0, len(b.vecs[i]))
-	for j := range b.vecs[i] {
-		out = append(out, j)
-	}
-	sort.Ints(out)
 	return out
 }

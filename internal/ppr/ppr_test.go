@@ -206,7 +206,7 @@ func TestBasisProperties(t *testing.T) {
 		t.Fatal("basis has no nonzeros")
 	}
 	for i := 0; i < g.N(); i++ {
-		v := basis.Vec(i)
+		v := rowMap(basis.Vec(i))
 		// Seed mass: p_{t_i}(i) >= restart = alpha/(1+alpha).
 		if v[i] < 0.5-1e-9 {
 			t.Fatalf("seed %d self-mass %v < 0.5", i, v[i])
@@ -226,6 +226,13 @@ func TestBasisProperties(t *testing.T) {
 			}
 		}
 	}
+	// Vec and Support are views of the stored row: no copy, no allocation.
+	if &basis.Support(0)[0] != &basis.Vec(0).Idx[0] {
+		t.Fatal("Support does not alias the row")
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = basis.Vec(1); _ = basis.Support(2) }); n != 0 {
+		t.Fatalf("Vec/Support allocate %v times per call", n)
+	}
 }
 
 func TestSupportStaysWithinComponent(t *testing.T) {
@@ -244,7 +251,7 @@ func TestSupportStaysWithinComponent(t *testing.T) {
 	}
 	for i := 0; i < g.N(); i++ {
 		for _, j := range basis.Support(i) {
-			if comp[i] != comp[j] {
+			if comp[i] != comp[int(j)] {
 				t.Fatalf("support of %d leaks into foreign component via %d", i, j)
 			}
 		}
@@ -274,7 +281,7 @@ func TestDropTolSparsifies(t *testing.T) {
 	}
 	// Loose vectors still approximate the exact ones.
 	for i := 0; i < g.N(); i += 17 {
-		ve, vl := be.Vec(i), bl.Vec(i)
+		ve, vl := rowMap(be.Vec(i)), rowMap(bl.Vec(i))
 		for j, x := range ve {
 			if math.Abs(x-vl[j]) > 5e-3 {
 				t.Fatalf("seed %d entry %d: %v vs %v", i, j, x, vl[j])

@@ -2,21 +2,23 @@ package ppr
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"icrowd/internal/simgraph"
 )
 
 // Solver is a reusable push-style sparse PPR solver over a CSR snapshot of
-// the similarity graph. It runs the same frontier expansion as the
-// reference map-based SparseSolve — restart * sum_k (c S')^k e_seed with
-// per-iteration DropTol truncation — but keeps the estimate and the two
-// frontier generations in dense scratch arrays with a visited-stack reset,
-// so a solve allocates nothing beyond its result map. Frontier nodes are
-// pushed in ascending ID order, making the floating-point accumulation
-// order identical to the reference solver's sorted-map iteration: results
-// are bit-exact against SparseSolve (pinned by TestPushMatchesSparseFuzz)
-// and therefore bit-identical across worker counts.
+// the similarity graph. It computes the basis vector p_{t_seed}, the fixed
+// point of Eq. (4) for q = e_seed, by expanding the truncated Neumann
+// series restart * sum_k (c S')^k e_seed with per-iteration DropTol
+// truncation, so the cost is proportional to the seed's graph neighborhood
+// rather than to N. The estimate and the two frontier generations live in
+// dense scratch arrays with a visited-stack reset, so a solve allocates
+// nothing beyond its result row. Frontier nodes are pushed in ascending ID
+// order, fixing the floating-point accumulation order: results are
+// bit-exact against the map-based reference solver kept in the tests
+// (TestPushMatchesSparseFuzz) and therefore bit-identical across runs and
+// worker counts.
 //
 // A Solver is not safe for concurrent use; the precompute pool gives each
 // worker its own.
@@ -48,15 +50,17 @@ func NewSolver(g *simgraph.Graph) *Solver {
 	}
 }
 
-// Solve computes the basis vector p_{t_seed} exactly as SparseSolve does,
-// returning the sparse result and how the solve terminated. The only
-// allocation on the steady path is the result map.
-func (s *Solver) Solve(seed int, o Options) (map[int]float64, Result, error) {
+// Solve computes the basis vector p_{t_seed}, returning it as a sorted
+// sparse row together with how the solve terminated. Callers that need the
+// true fixed point must check Result.Converged: with MaxIter exhausted the
+// row is only the best iterate reached. The only allocations on the steady
+// path are the row's two slices.
+func (s *Solver) Solve(seed int, o Options) (Row, Result, error) {
 	if err := o.validate(); err != nil {
-		return nil, Result{}, err
+		return Row{}, Result{}, err
 	}
 	if seed < 0 || seed >= s.csr.N {
-		return nil, Result{}, errors.New("ppr: seed out of range")
+		return Row{}, Result{}, errors.New("ppr: seed out of range")
 	}
 	c := 1 / (1 + o.Alpha)
 	restart := o.Alpha / (1 + o.Alpha)
@@ -71,8 +75,7 @@ func (s *Solver) Solve(seed int, o Options) (map[int]float64, Result, error) {
 	for res.Iters < o.MaxIter && len(s.curIDs) > 0 {
 		res.Iters++
 		// Push pass: distribute every frontier node's mass to its CSR row,
-		// ascending i then ascending j — the exact accumulation order of the
-		// reference solver's sorted-map iteration.
+		// ascending i then ascending j.
 		s.nxtIDs = s.nxtIDs[:0]
 		for _, i := range s.curIDs {
 			x := s.cur[i]
@@ -86,7 +89,7 @@ func (s *Solver) Solve(seed int, o Options) (map[int]float64, Result, error) {
 				s.nxt[j] += c * s.csr.Norm[k] * x
 			}
 		}
-		sort.Ints(s.nxtIDs)
+		slices.Sort(s.nxtIDs)
 		// Absorb pass in ascending j: drop sub-DropTol entries (their
 		// residual mass is what Result.Residual accounts for on an
 		// unconverged exit), fold the rest into the estimate, and keep them
@@ -135,9 +138,13 @@ func (s *Solver) Solve(seed int, o Options) (map[int]float64, Result, error) {
 		s.curIDs = s.curIDs[:0]
 		mUnconverged.Inc()
 	}
-	out := make(map[int]float64, len(s.estIDs))
-	for _, j := range s.estIDs {
-		out[j] = s.est[j]
+	// Emit the row straight from the visited stack, sorted, resetting the
+	// scratch it names as it goes.
+	slices.Sort(s.estIDs)
+	out := Row{Idx: make([]int32, len(s.estIDs)), Val: make([]float64, len(s.estIDs))}
+	for k, j := range s.estIDs {
+		out.Idx[k] = int32(j)
+		out.Val[k] = s.est[j]
 		s.est[j] = 0
 		s.inEst[j] = false
 	}

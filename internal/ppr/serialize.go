@@ -12,15 +12,16 @@ import (
 type basisWire struct {
 	Version int
 	Opts    Options
-	Vecs    []map[int]float64
+	Rows    []Row
 	Res     []Result
 }
 
 // wireVersion guards against format drift between builds. Version 2 added
-// the per-vector solve Results; version-1 artifacts predate convergence
-// tracking and must be regenerated rather than loaded as silently
-// "converged".
-const wireVersion = 2
+// the per-vector solve Results (version-1 artifacts predate convergence
+// tracking and must not load as silently "converged"); version 3 stores
+// each vector as a sorted sparse row instead of a map. Any other version is
+// rejected, so a stale cache is recomputed rather than misread.
+const wireVersion = 3
 
 // Save serializes the basis (the offline artifact of Algorithm 1) so a
 // server restart or a different process can skip the precomputation.
@@ -28,7 +29,7 @@ func (b *Basis) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(basisWire{
 		Version: wireVersion,
 		Opts:    b.opts,
-		Vecs:    b.vecs,
+		Rows:    b.rows,
 		Res:     b.res,
 	})
 }
@@ -55,24 +56,30 @@ func Load(r io.Reader) (*Basis, error) {
 	if err := wire.Opts.validate(); err != nil {
 		return nil, err
 	}
-	if len(wire.Vecs) == 0 {
+	if len(wire.Rows) == 0 {
 		return nil, errors.New("ppr: basis has no vectors")
 	}
-	if len(wire.Res) != len(wire.Vecs) {
-		return nil, fmt.Errorf("ppr: basis has %d results for %d vectors", len(wire.Res), len(wire.Vecs))
+	if len(wire.Res) != len(wire.Rows) {
+		return nil, fmt.Errorf("ppr: basis has %d results for %d vectors", len(wire.Res), len(wire.Rows))
 	}
-	n := len(wire.Vecs)
-	for i, v := range wire.Vecs {
-		for j, x := range v {
-			if j < 0 || j >= n {
+	n := len(wire.Rows)
+	for i, r := range wire.Rows {
+		if len(r.Val) != len(r.Idx) {
+			return nil, fmt.Errorf("ppr: basis vector %d has %d values for %d indices", i, len(r.Val), len(r.Idx))
+		}
+		for k, j := range r.Idx {
+			if j < 0 || int(j) >= n {
 				return nil, fmt.Errorf("ppr: basis vector %d references task %d of %d", i, j, n)
 			}
-			if x < 0 || x > 1 {
+			if k > 0 && j <= r.Idx[k-1] {
+				return nil, fmt.Errorf("ppr: basis vector %d indices not ascending at task %d", i, j)
+			}
+			if x := r.Val[k]; !(x >= 0 && x <= 1) {
 				return nil, fmt.Errorf("ppr: basis vector %d entry %d out of range: %v", i, j, x)
 			}
 		}
 	}
-	return &Basis{opts: wire.Opts, vecs: wire.Vecs, res: wire.Res}, nil
+	return &Basis{opts: wire.Opts, rows: wire.Rows, res: wire.Res}, nil
 }
 
 // LoadFile reads a basis from a file.

@@ -19,13 +19,27 @@ import (
 // combined vector's support is exactly the union of per-seed supports, so
 // influence is the coverage of qual's supports.
 func Influence(b *ppr.Basis, qual []int) int {
-	covered := map[int]bool{}
+	covered := make([]bool, b.N())
+	n := 0
 	for _, t := range qual {
 		for _, j := range b.Support(t) {
-			covered[j] = true
+			if !covered[j] {
+				covered[j] = true
+				n++
+			}
 		}
 	}
-	return len(covered)
+	return n
+}
+
+// coverWeight is how strongly a basis entry p covers its task: p/restart,
+// clipped to 1 (the seed's own entry is at least restart).
+func coverWeight(p, restart float64) float64 {
+	w := p / restart
+	if w > 1 {
+		w = 1
+	}
+	return w
 }
 
 // InfluenceSoft computes the probabilistic-coverage influence the greedy
@@ -35,14 +49,11 @@ func Influence(b *ppr.Basis, qual []int) int {
 func InfluenceSoft(b *ppr.Basis, qual []int) float64 {
 	o := b.Options()
 	restart := o.Alpha / (1 + o.Alpha)
-	cov := map[int]float64{}
+	cov := make([]float64, b.N())
 	for _, t := range qual {
-		for j, p := range b.Vec(t) {
-			w := p / restart
-			if w > 1 {
-				w = 1
-			}
-			cov[j] = 1 - (1-cov[j])*(1-w)
+		r := b.Vec(t)
+		for k, j := range r.Idx {
+			cov[j] = 1 - (1-cov[j])*(1-coverWeight(r.Val[k], restart))
 		}
 	}
 	var total float64
@@ -65,6 +76,9 @@ func InfluenceSoft(b *ppr.Basis, qual []int) float64 {
 // additional picks inside large clusters (with diminishing returns), which
 // is what makes the selected qualification microtasks "focused" on the
 // individual domains, as Section 6.3.1 describes.
+//
+// Each round walks every unchosen task's basis row in place, in ascending
+// task order, so the work is O(q * nnz) with no allocation per task.
 func SelectGreedy(b *ppr.Basis, q int) ([]int, error) {
 	if q < 1 {
 		return nil, errors.New("qualify: q must be >= 1")
@@ -72,25 +86,19 @@ func SelectGreedy(b *ppr.Basis, q int) ([]int, error) {
 	n := b.N()
 	o := b.Options()
 	restart := o.Alpha / (1 + o.Alpha)
-	weight := func(t, j int) float64 {
-		w := b.Vec(t)[j] / restart
-		if w > 1 {
-			w = 1
-		}
-		return w
-	}
 	cov := make([]float64, n)
 	chosen := make([]int, 0, q)
-	inChosen := make(map[int]bool, q)
+	inChosen := make([]bool, n)
 	for len(chosen) < q && len(chosen) < n {
 		best, bestGain := -1, -1.0
 		for t := 0; t < n; t++ {
 			if inChosen[t] {
 				continue
 			}
+			r := b.Vec(t)
 			var gain float64
-			for _, j := range b.Support(t) {
-				gain += (1 - cov[j]) * weight(t, j)
+			for k, j := range r.Idx {
+				gain += (1 - cov[j]) * coverWeight(r.Val[k], restart)
 			}
 			if gain > bestGain+1e-12 {
 				best, bestGain = t, gain
@@ -101,8 +109,9 @@ func SelectGreedy(b *ppr.Basis, q int) ([]int, error) {
 		}
 		chosen = append(chosen, best)
 		inChosen[best] = true
-		for _, j := range b.Support(best) {
-			cov[j] = 1 - (1-cov[j])*(1-weight(best, j))
+		r := b.Vec(best)
+		for k, j := range r.Idx {
+			cov[j] = 1 - (1-cov[j])*(1-coverWeight(r.Val[k], restart))
 		}
 	}
 	sort.Ints(chosen)

@@ -66,13 +66,8 @@ func ReadSnapshot(path string) ([]Event, error) {
 		return nil, err
 	}
 	line := bytes.TrimRight(raw, "\n")
-	body := line
-	if len(line) > 9 && line[8] == ' ' && isHex8(line[:8]) {
-		var want uint32
-		if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-			return nil, fmt.Errorf("store: snapshot %s: bad checksum field: %w", path, err)
-		}
-		body = line[9:]
+	body, want, framed := splitFrame(line)
+	if framed {
 		if got := checksum(body); got != want {
 			return nil, fmt.Errorf("store: snapshot %s: checksum mismatch: record %08x, computed %08x", path, want, got)
 		}

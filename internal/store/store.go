@@ -281,12 +281,41 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // checksum is the per-record CRC-32 (Castagnoli) over a JSON payload.
 func checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
-// frameLine wraps the marshalled event in the "crc32c<SP>json\n" format.
+const hexDigits = "0123456789abcdef"
+
+// frameLine wraps the marshalled event in the "crc32c<SP>json\n" format:
+// the CRC as eight lowercase hex digits, zero-padded.
 func frameLine(b []byte) []byte {
 	out := make([]byte, 0, len(b)+10)
-	out = fmt.Appendf(out, "%08x ", checksum(b))
+	crc := checksum(b)
+	for shift := 28; shift >= 0; shift -= 4 {
+		out = append(out, hexDigits[crc>>shift&0xf])
+	}
+	out = append(out, ' ')
 	out = append(out, b...)
 	return append(out, '\n')
+}
+
+// splitFrame splits a "crc32c<SP>json" record into its payload and the
+// CRC it claims. A line without that prefix is a legacy plain-JSON record:
+// framed is false and the whole line is the payload.
+func splitFrame(line []byte) (body []byte, want uint32, framed bool) {
+	if len(line) <= 9 || line[8] != ' ' {
+		return line, 0, false
+	}
+	for _, c := range line[:8] {
+		var d byte
+		switch {
+		case '0' <= c && c <= '9':
+			d = c - '0'
+		case 'a' <= c && c <= 'f':
+			d = c - 'a' + 10
+		default:
+			return line, 0, false
+		}
+		want = want<<4 | uint32(d)
+	}
+	return line[9:], want, true
 }
 
 // Append stamps e with the next sequence number and durably records it
@@ -377,14 +406,9 @@ func (l *Log) snapshotLocked() {
 // parseLine decodes one log line in either the checksummed "crc32c json"
 // format or the legacy plain-JSON format, and validates the event kind.
 func parseLine(raw []byte) (Event, error) {
-	body := raw
-	if len(raw) > 9 && raw[8] == ' ' && isHex8(raw[:8]) {
-		var want uint32
-		if _, err := fmt.Sscanf(string(raw[:8]), "%08x", &want); err != nil {
-			return Event{}, fmt.Errorf("bad checksum field: %w", err)
-		}
-		body = raw[9:]
-		if got := crc32.Checksum(body, crcTable); got != want {
+	body, want, framed := splitFrame(raw)
+	if framed {
+		if got := checksum(body); got != want {
 			return Event{}, fmt.Errorf("checksum mismatch: record %08x, computed %08x", want, got)
 		}
 	}
@@ -398,15 +422,6 @@ func parseLine(raw []byte) (Event, error) {
 		return Event{}, fmt.Errorf("unknown kind %q", e.Kind)
 	}
 	return e, nil
-}
-
-func isHex8(b []byte) bool {
-	for _, c := range b {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // readTolerant parses events from r, stopping at the first damaged record

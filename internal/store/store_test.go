@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -309,5 +312,64 @@ func TestHealthyTracksStickyWriteError(t *testing.T) {
 	}
 	if err := l.Healthy(); err != nil {
 		t.Fatalf("Healthy after successful append = %v, want nil", err)
+	}
+}
+
+// TestFrameLineMatchesFmtFormat pins the record framing byte for byte to
+// the "%08x " format the log has always been written in, across payloads
+// whose CRCs need zero padding.
+func TestFrameLineMatchesFmtFormat(t *testing.T) {
+	padded := 0
+	for i := 0; i < 2000; i++ {
+		b := []byte(fmt.Sprintf(`{"seq":%d,"kind":"assign","worker":"w%d"}`, i+1, i))
+		want := fmt.Appendf(nil, "%08x %s\n", checksum(b), b)
+		if got := frameLine(b); !bytes.Equal(got, want) {
+			t.Fatalf("frameLine(%s) = %q, want %q", b, got, want)
+		}
+		if checksum(b) < 1<<28 {
+			padded++
+		}
+	}
+	if padded == 0 {
+		t.Fatal("no payload exercised zero padding")
+	}
+}
+
+// TestParseLineWrittenByOldCode parses records framed by the fmt-based
+// writer of earlier builds: logs on disk must keep replaying unchanged.
+func TestParseLineWrittenByOldCode(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want Event
+	}{
+		{"245906c1 {\"seq\":1,\"kind\":\"assign\",\"worker\":\"alice\",\"task\":7}", Event{Seq: 1, Kind: EventAssign, Worker: "alice", Task: 7}},
+		{"dbb36e67 {\"seq\":2,\"kind\":\"submit\",\"worker\":\"alice\",\"task\":7,\"answer\":\"YES\"}", Event{Seq: 2, Kind: EventSubmit, Worker: "alice", Task: 7, Answer: "YES"}},
+		{"55504020 {\"seq\":3,\"kind\":\"inactive\",\"worker\":\"bob\"}", Event{Seq: 3, Kind: EventInactive, Worker: "bob"}},
+	} {
+		got, err := parseLine([]byte(tc.line))
+		if err != nil {
+			t.Fatalf("parseLine(%q): %v", tc.line, err)
+		}
+		if got != tc.want {
+			t.Fatalf("parseLine(%q) = %+v, want %+v", tc.line, got, tc.want)
+		}
+		b, err := json.Marshal(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if framed := frameLine(b); string(framed) != tc.line+"\n" {
+			t.Fatalf("frameLine = %q, want the old record %q", framed, tc.line+"\n")
+		}
+	}
+	// A flipped CRC digit is a mismatch; an uppercase or non-hex prefix is
+	// not a frame, so the line is read as (invalid) plain JSON.
+	for _, bad := range []string{
+		"245906c2 {\"seq\":1,\"kind\":\"assign\",\"worker\":\"alice\",\"task\":7}",
+		"245906C1 {\"seq\":1,\"kind\":\"assign\",\"worker\":\"alice\",\"task\":7}",
+		"245906g1 {\"seq\":1,\"kind\":\"assign\",\"worker\":\"alice\",\"task\":7}",
+	} {
+		if _, err := parseLine([]byte(bad)); err == nil {
+			t.Fatalf("parseLine(%q) accepted a damaged record", bad)
+		}
 	}
 }
